@@ -129,7 +129,9 @@ class GridRow:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Everything known about gon(G) from the bound pipelines."""
+    """Everything known about gon(G) from the bound pipelines.  `rows` is
+    empty without an exact Cheeger profile; the upper fields are None when
+    the upper-bound stage was skipped."""
 
     n: int
     m: int
@@ -140,16 +142,16 @@ class BoundReport:
     separator_bound: tuple[Fraction, Fraction] | None
     cheeger_bound: tuple[Fraction, Fraction] | None
     spectral: SpectralBound | None
-    upper_genus: int
+    upper_genus: int | None
     upper_genus_loose: bool
-    upper_independence: int
+    upper_independence: int | None
     lower: int
-    upper: int
+    upper: int | None
     notes: tuple[str, ...]
     budget_limited: bool
 
     @property
-    def bracket(self) -> tuple[int, int]:
+    def bracket(self) -> tuple[int, int | None]:
         return (self.lower, self.upper)
 
 
@@ -160,12 +162,15 @@ def full_report(
     exact_cheeger_cap: int = DEFAULT_EXACT_CHEEGER_CAP,
     separator_cap: int = DEFAULT_EXACT_CHEEGER_CAP,
     tol: float = 1e-9,
+    upper_bounds: bool = True,
 ) -> BoundReport:
-    """Run every applicable bound and fold the final integer bracket.
+    """Run every applicable bound stage and fold the final integer bracket.
 
-    Rows degrade gracefully: heuristic profiles and budget-limited
-    separator searches are excluded from the lower-bound fold (soundness
-    firewall) and recorded in `notes` instead.
+    The stages are the exact Cheeger profile, the separators, the spectral
+    bound and, when `upper_bounds` is set, the genus and independence upper
+    bounds.  A Cheeger scan or separator search stopped by the budget is
+    excluded from the lower-bound fold (soundness firewall), recorded in
+    `notes` and flags `budget_limited`.
     """
     if not g.is_connected():
         raise ValueError("bound report requires a connected graph")
@@ -174,22 +179,23 @@ def full_report(
     k = g.regularity()
     gen = genus(g)
 
-    profile = cheeger_profile(g, budget, exact_cap=exact_cheeger_cap)
-    if not profile.exact:
+    profile: CheegerProfile | None = None
+    if g.n > exact_cheeger_cap:
         notes.append(
             f"n={g.n} above exact cheeger cap {exact_cheeger_cap}: "
             "profile is heuristic (upper bounds only), grid bounds skipped"
         )
+    else:
+        try:
+            profile = cheeger_profile(g, budget, exact_cap=exact_cheeger_cap)
+        except BudgetExceededError as exc:
+            notes.append(f"cheeger scan exhausted budget: {exc}; grid bounds skipped")
+            budget_limited = True
 
     separators: dict[int, SeparatorCertificate] = {}
-    if profile.exact and g.n <= separator_cap:
+    if profile is not None and g.n <= separator_cap:
         for point in profile.points:
-            try:
-                cert = b_u(g, point.u, budget)
-            except BudgetExceededError as exc:
-                notes.append(f"separator search at u={point.u} exhausted budget: {exc}")
-                budget_limited = True
-                continue
+            cert = b_u(g, point.u, budget)  # a budget stop returns optimal=False
             if cert.optimal:
                 separators[point.j] = cert
             else:
@@ -198,11 +204,11 @@ def full_report(
                     f"(best {cert.size}, lower bound {cert.lower_bound})"
                 )
                 budget_limited = True
-    elif profile.exact:
+    elif profile is not None:
         notes.append(f"n={g.n} above separator cap {separator_cap}: separator rows skipped")
 
     rows: list[GridRow] = []
-    if profile.exact:
+    if profile is not None:
         h = profile.h
         for point in profile.points:
             cert = separators.get(point.j)
@@ -222,10 +228,10 @@ def full_report(
             )
 
     sep_bound = None
-    if profile.exact and len(separators) == len(profile.points):
+    if profile is not None and len(separators) == len(profile.points):
         sep_bound = separator_grid_bound(g, profile, separators)
     cheeger_bound = None
-    if profile.exact and k is not None:
+    if profile is not None and k is not None:
         cheeger_bound = cheeger_grid_bound(g, profile)
     elif k is None:
         notes.append("graph is not regular: cheeger grid bound inapplicable")
@@ -234,12 +240,14 @@ def full_report(
     if g.n >= 2:
         spectral = spectral_gonality_bound(g, tol=tol)
 
-    upper_genus = genus_upper_bound(g)
     loose = genus_bound_is_loose(g)
-    upper_independence = independence_upper_bound(g, budget)
-    upper = upper_independence if loose else min(upper_genus, upper_independence)
-    if loose:
-        notes.append("genus 1: the genus upper bound is loose and excluded from the fold")
+    upper_genus = upper_independence = upper = None
+    if upper_bounds:
+        upper_genus = genus_upper_bound(g)
+        upper_independence = independence_upper_bound(g, budget)
+        upper = upper_independence if loose else min(upper_genus, upper_independence)
+        if loose:
+            notes.append("genus 1: the genus upper bound is loose and excluded from the fold")
 
     lower = 1  # a positive-rank divisor has positive degree
     for value in (sep_bound, cheeger_bound):
@@ -253,7 +261,7 @@ def full_report(
         m=g.m,
         k=k,
         genus=gen,
-        profile_exact=profile.exact,
+        profile_exact=profile is not None,
         rows=tuple(rows),
         separator_bound=sep_bound,
         cheeger_bound=cheeger_bound,

@@ -37,7 +37,7 @@ class SearchBudget:
         return cls(deadline=deadline, **kwargs)
 
     def check_deadline(self, what: str) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if self.deadline is not None and time.monotonic() >= self.deadline:
             raise BudgetExceededError(f"time budget exhausted during {what}")
 
 

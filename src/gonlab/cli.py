@@ -17,25 +17,25 @@ from fractions import Fraction
 from pathlib import Path
 
 from gonlab.bounds import BoundReport, full_report
-from gonlab.budget import BudgetExceededError, SearchBudget
+from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
 from gonlab.divisor import format_divisor, parse_divisor
 from gonlab.expansion import b_u, cheeger_profile
 from gonlab.gonality import GonalityCertificate, exact_gonality
 from gonlab.graph import GraphParseError, Multigraph, load_graph, named_graph
 from gonlab.randgraph import ConfigModelParams, ExperimentCaps, run_experiment, sample_configuration
-from gonlab.reduction import find_rank_obstruction, v_reduce
+from gonlab.reduction import find_rank_obstruction, has_positive_rank, v_reduce
 from gonlab.spectral import algebraic_connectivity, spectral_gonality_bound
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BUDGET = 2
 
-_NAMED_PREFIXES = ("pappus", "k4", "cycle:", "path:")
-
 
 def resolve_graph(source: str) -> Multigraph:
-    if source == "pappus" or source == "k4" or source.startswith(("cycle:", "path:")):
+    try:
         return named_graph(source)
+    except KeyError:
+        pass
     path = Path(source)
     if path.exists():
         return load_graph(path.read_text())
@@ -91,25 +91,26 @@ def _emit_human(payload: dict) -> None:
         print(f"{key:40s} {value}")
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    return int(raw) if raw else None
-
-
-def _env_float(name: str) -> float | None:
-    raw = os.environ.get(name)
-    return float(raw) if raw else None
+def _setting(flag, env: str, parse, default=None):
+    """The flag if given, else the environment variable if non-empty, else
+    the default.  Zero is a value like any other, not "unset"."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get(env)
+    return parse(raw) if raw else default
 
 
 def build_budget(args) -> SearchBudget:
-    candidates = getattr(args, "budget", None) or _env_int("GONLAB_BUDGET_CANDIDATES") or 5_000_000
-    nodes = _env_int("GONLAB_BUDGET_NODES") or 2_000_000
-    seconds = getattr(args, "budget_seconds", None) or _env_float("GONLAB_BUDGET_SECONDS")
+    candidates = _setting(
+        getattr(args, "budget", None), "GONLAB_BUDGET_CANDIDATES", int, DEFAULT_BUDGET.max_candidates
+    )
+    nodes = _setting(None, "GONLAB_BUDGET_NODES", int, DEFAULT_BUDGET.max_nodes)
+    seconds = _setting(getattr(args, "budget_seconds", None), "GONLAB_BUDGET_SECONDS", float)
     return SearchBudget.with_seconds(seconds, max_candidates=candidates, max_nodes=nodes)
 
 
 def _threads(args) -> int:
-    return getattr(args, "threads", None) or _env_int("GONLAB_THREADS") or 1
+    return _setting(getattr(args, "threads", None), "GONLAB_THREADS", int, 1)
 
 
 def _profile_payload(profile) -> dict:
@@ -234,6 +235,10 @@ def cmd_gonality(args) -> int:
     return EXIT_BUDGET
 
 
+def _grid_bound_payload(bound: tuple[Fraction, Fraction] | None) -> dict | None:
+    return None if bound is None else {"value": bound[0], "u": bound[1]}
+
+
 def _report_payload(report: BoundReport) -> dict:
     return {
         "n": report.n,
@@ -254,12 +259,8 @@ def _report_payload(report: BoundReport) -> dict:
             }
             for r in report.rows
         ],
-        "separator_bound": None
-        if report.separator_bound is None
-        else {"value": report.separator_bound[0], "u": report.separator_bound[1]},
-        "cheeger_bound": None
-        if report.cheeger_bound is None
-        else {"value": report.cheeger_bound[0], "u": report.cheeger_bound[1]},
+        "separator_bound": _grid_bound_payload(report.separator_bound),
+        "cheeger_bound": _grid_bound_payload(report.cheeger_bound),
         "spectral": None
         if report.spectral is None
         else {
@@ -292,11 +293,6 @@ def cmd_bounds(args) -> int:
     return EXIT_BUDGET if report.budget_limited else EXIT_OK
 
 
-def _record_payload(record) -> dict:
-    payload = asdict(record)
-    return payload
-
-
 def cmd_random(args) -> int:
     params = ConfigModelParams(k=args.k, n=args.n, seed=args.seed, mode=args.mode)
     caps = ExperimentCaps(
@@ -305,7 +301,9 @@ def cmd_random(args) -> int:
         separator_cap=args.separator_cap,
         tol=args.tol,
     )
-    records, summary = run_experiment(params, args.samples, caps, threads=_threads(args))
+    records, summary = run_experiment(
+        params, args.samples, caps, threads=_threads(args), budget=build_budget(args)
+    )
     if args.emit_graphs:
         outdir = Path(args.emit_graphs)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -315,7 +313,7 @@ def cmd_random(args) -> int:
     emit(
         {
             "params": {"k": params.k, "n": params.n, "seed": params.seed, "mode": params.mode},
-            "records": [_record_payload(r) for r in records],
+            "records": [asdict(r) for r in records],
             "summary": asdict(summary),
         },
         args.format,
@@ -326,21 +324,13 @@ def cmd_random(args) -> int:
 def cmd_pappus_demo(args) -> int:
     g = named_graph("pappus")
     budget = build_budget(args)
-    profile = cheeger_profile(g, budget)
     report = full_report(g, budget)
     middle_ring = parse_divisor("0:1,1:1,2:1,3:1,4:1,5:1", g)
-    from gonlab.reduction import has_positive_rank
-
-    result = exact_gonality(g, budget, threads=_threads(args))
+    result = exact_gonality(g, budget, threads=_threads(args), upper=report.upper)
     payload = {
-        "cheeger_table": [
-            {"j": p.j, "u": p.u, "h_u": p.value} for p in profile.points
-        ],
+        "cheeger_table": [{"j": r.j, "u": r.u, "h_u": r.h_u} for r in report.rows],
         "lambda2": report.spectral.lambda2,
-        "cheeger_grid_bound": {
-            "value": report.cheeger_bound[0],
-            "u": report.cheeger_bound[1],
-        },
+        "cheeger_grid_bound": _grid_bound_payload(report.cheeger_bound),
         "spectral_bound": {
             "value": report.spectral.value,
             "ceiling": report.spectral.ceiling,
@@ -348,18 +338,17 @@ def cmd_pappus_demo(args) -> int:
         "middle_ring_divisor_positive_rank": has_positive_rank(middle_ring),
         "bracket": {"lower": report.lower, "upper": report.upper},
     }
-    if isinstance(result, GonalityCertificate):
+    certified = isinstance(result, GonalityCertificate)
+    if certified:
         payload["gonality"] = {
             "value": result.value,
             "witness": format_divisor(result.witness),
             "exhaustive": result.exhaustive,
         }
-        code = EXIT_OK
     else:
         payload["gonality"] = {"lower": result.lower, "upper": result.upper}
-        code = EXIT_BUDGET
     emit(payload, args.format)
-    return code
+    return EXIT_OK if certified and not report.budget_limited else EXIT_BUDGET
 
 
 def _add_common(parser: argparse.ArgumentParser, graph: bool = True) -> None:

@@ -84,6 +84,7 @@ def exact_gonality(
     budget: SearchBudget = DEFAULT_BUDGET,
     max_degree: int | None = None,
     threads: int = 1,
+    upper: int | None = None,
 ) -> GonalityCertificate | GonalityBracket:
     """Smallest degree of a positive-rank divisor, with witness.
 
@@ -91,12 +92,17 @@ def exact_gonality(
     when the candidate budget, time budget or `max_degree` cap stops it
     first.  The reported witness is the colex-least one at the answer
     degree, independent of the worker count.
+
+    `upper` is a precomputed gonality upper bound (a bound report's
+    `upper`); when None, the genus and independence bounds are computed
+    here.
     """
     if not g.is_connected():
         raise ValueError("gonality search requires a connected graph")
-    upper = independence_upper_bound(g, budget)
-    if genus(g) != 1:
-        upper = min(upper, genus_upper_bound(g))
+    if upper is None:
+        upper = independence_upper_bound(g, budget)
+        if genus(g) != 1:
+            upper = min(upper, genus_upper_bound(g))
     limit = upper if max_degree is None else min(upper, max_degree)
     tested = 0
     for degree in range(1, limit + 1):

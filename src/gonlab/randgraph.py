@@ -20,25 +20,20 @@ empirical distributions at finite n and cannot confirm them.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from gonlab.bounds import cheeger_grid_bound, separator_grid_bound
-from gonlab.budget import BudgetExceededError, SearchBudget
-from gonlab.expansion import b_u, cheeger_profile
-from gonlab.gonality import (
-    GonalityCertificate,
-    exact_gonality,
-    genus_bound_is_loose,
-    genus_upper_bound,
-    independence_upper_bound,
-)
+from gonlab.bounds import full_report
+from gonlab.budget import DEFAULT_BUDGET, SearchBudget
+from gonlab.gonality import GonalityCertificate, exact_gonality
 from gonlab.graph import Multigraph
-from gonlab.spectral import spectral_gonality_bound
+
+# Unused here: perfbench/tracing.py patches these three names and exits if one is gone.
+from gonlab.expansion import b_u, cheeger_profile  # noqa: F401
+from gonlab.gonality import independence_upper_bound  # noqa: F401
 
 
 def _splitmix64(x: int) -> int:
@@ -107,20 +102,20 @@ def sample_configuration(params: ConfigModelParams, sample_index: int = 0) -> Mu
 
 @dataclass(frozen=True)
 class ExperimentCaps:
-    """Per-sample work limits for the harness."""
+    """Per-sample size caps for the harness; search limits come from the
+    SearchBudget that `run_experiment` passes to every engine."""
 
     gonality_cap: int = 12
     cheeger_cap: int = 20
     separator_cap: int = 16
     tol: float = 1e-9
-    max_candidates: int = 5_000_000
-    max_nodes: int = 2_000_000
 
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """Per-sample statistics; None marks quantities skipped by caps or
-    inapplicable to disconnected samples."""
+    """Per-sample statistics, projected from the sample's bound report; None
+    marks quantities skipped by caps or budgets, or inapplicable to
+    disconnected samples."""
 
     index: int
     graph_hash: str
@@ -128,17 +123,17 @@ class ExperimentRecord:
     m: int
     connected: bool
     simple: bool
-    lambda2: float | None
-    lambda2_error: float | None
-    spectral_value: float | None
-    spectral_ceiling: int | None
-    h: Fraction | None
-    separator_bound: Fraction | None
-    cheeger_bound: Fraction | None
-    lower: int | None
-    upper: int | None
-    gonality: int | None
-    sandwich_ok: bool | None
+    lambda2: float | None = None
+    lambda2_error: float | None = None
+    spectral_value: float | None = None
+    spectral_ceiling: int | None = None
+    h: Fraction | None = None
+    separator_bound: Fraction | None = None
+    cheeger_bound: Fraction | None = None
+    lower: int | None = None
+    upper: int | None = None
+    gonality: int | None = None
+    sandwich_ok: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -160,60 +155,46 @@ class ExperimentSummary:
     )
 
 
-def _evaluate_sample(params: ConfigModelParams, index: int, caps: ExperimentCaps) -> ExperimentRecord:
+def _evaluate_sample(
+    params: ConfigModelParams, index: int, caps: ExperimentCaps, budget: SearchBudget
+) -> ExperimentRecord:
     g = sample_configuration(params, index)
-    budget = SearchBudget(max_candidates=caps.max_candidates, max_nodes=caps.max_nodes)
-    connected = g.is_connected()
-    simple = all(mult == 1 for _, _, mult in g.edges)
-    lambda2 = lambda2_err = spectral_value = None
-    spectral_ceiling = None
-    h = sep_bound = cheeger_bound = None
-    lower = upper = None
-    gonality = None
-    sandwich = None
-    if connected:
-        sbound = spectral_gonality_bound(g, tol=caps.tol)
-        lambda2, lambda2_err = sbound.lambda2, sbound.lambda2_error
-        spectral_value, spectral_ceiling = sbound.value, sbound.ceiling
-        if g.n <= caps.cheeger_cap:
-            profile = cheeger_profile(g, budget, exact_cap=caps.cheeger_cap)
-            h = profile.h
-            cheeger_bound = cheeger_grid_bound(g, profile)[0]
-            if g.n <= caps.separator_cap:
-                try:
-                    separators = {p.j: b_u(g, p.u, budget) for p in profile.points}
-                    if all(c.optimal for c in separators.values()):
-                        sep_bound = separator_grid_bound(g, profile, separators)[0]
-                except BudgetExceededError:
-                    pass
-        if g.n <= caps.gonality_cap:
-            upper = independence_upper_bound(g, budget)
-            if not genus_bound_is_loose(g):
-                upper = min(upper, genus_upper_bound(g))
-            lower = max(
-                [1, sbound.ceiling]
-                + [math.ceil(v) for v in (sep_bound, cheeger_bound) if v is not None]
-            )
-            result = exact_gonality(g, budget)
-            if isinstance(result, GonalityCertificate):
-                gonality = result.value
-                sandwich = lower <= gonality <= upper
-    return ExperimentRecord(
+    sample = dict(
         index=index,
         graph_hash=g.canonical_hash(),
         n=g.n,
         m=g.m,
-        connected=connected,
-        simple=simple,
-        lambda2=lambda2,
-        lambda2_error=lambda2_err,
-        spectral_value=spectral_value,
-        spectral_ceiling=spectral_ceiling,
-        h=h,
-        separator_bound=sep_bound,
-        cheeger_bound=cheeger_bound,
-        lower=lower,
-        upper=upper,
+        connected=g.is_connected(),
+        simple=all(mult == 1 for _, _, mult in g.edges),
+    )
+    if not sample["connected"]:
+        return ExperimentRecord(**sample)
+    in_cap = g.n <= caps.gonality_cap  # upper bounds are reported only next to a gonality
+    report = full_report(
+        g,
+        budget,
+        exact_cheeger_cap=caps.cheeger_cap,
+        separator_cap=caps.separator_cap,
+        tol=caps.tol,
+        upper_bounds=in_cap,
+    )
+    gonality = sandwich = None
+    if in_cap:
+        result = exact_gonality(g, budget, upper=report.upper)
+        if isinstance(result, GonalityCertificate):
+            gonality = result.value
+            sandwich = report.lower <= gonality <= report.upper
+    return ExperimentRecord(
+        **sample,
+        lambda2=report.spectral.lambda2,
+        lambda2_error=report.spectral.lambda2_error,
+        spectral_value=report.spectral.value,
+        spectral_ceiling=report.spectral.ceiling,
+        h=report.rows[-1].h_u if report.rows else None,
+        separator_bound=report.separator_bound[0] if report.separator_bound else None,
+        cheeger_bound=report.cheeger_bound[0] if report.cheeger_bound else None,
+        lower=report.lower if in_cap else None,
+        upper=report.upper,
         gonality=gonality,
         sandwich_ok=sandwich,
     )
@@ -224,20 +205,31 @@ def run_experiment(
     samples: int,
     caps: ExperimentCaps = ExperimentCaps(),
     threads: int = 1,
+    budget: SearchBudget = DEFAULT_BUDGET,
 ) -> tuple[list[ExperimentRecord], ExperimentSummary]:
     """Evaluate the bound pipeline over `samples` independent draws.
 
     Records come back ordered by sample index whatever the thread count,
-    so output is reproducible byte for byte.
+    so output is reproducible byte for byte.  The candidate and node caps
+    of `budget` apply to each sample; its deadline, an absolute time,
+    applies to the whole run.
     """
     if samples < 0:
         raise ValueError("sample count must be non-negative")
     indices = list(range(samples))
     if threads > 1 and samples > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_evaluate_sample, [params] * samples, indices, [caps] * samples))
+            records = list(
+                pool.map(
+                    _evaluate_sample,
+                    [params] * samples,
+                    indices,
+                    [caps] * samples,
+                    [budget] * samples,
+                )
+            )
     else:
-        records = [_evaluate_sample(params, i, caps) for i in indices]
+        records = [_evaluate_sample(params, i, caps, budget) for i in indices]
 
     lam = [r.lambda2 for r in records if r.lambda2 is not None]
     per_n = [r.spectral_value / r.n for r in records if r.spectral_value is not None]

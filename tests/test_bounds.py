@@ -211,3 +211,29 @@ def test_full_report_heuristic_mode_notes():
     # spectral and uppers still present
     assert report.spectral is not None
     assert report.bracket == (6, 9)  # spectral ceiling still drives the lower end
+
+
+def test_full_report_cheeger_budget_is_partial_not_fatal(pappus):
+    report = full_report(pappus, SearchBudget(max_nodes=50))
+    assert report.budget_limited
+    assert not report.profile_exact
+    assert report.rows == ()
+    assert report.cheeger_bound is None and report.separator_bound is None
+    assert any("cheeger scan exhausted budget" in note for note in report.notes)
+    assert report.lower <= 6 <= report.upper  # spectral ceiling still certifies 6
+
+
+def test_full_report_without_upper_bounds():
+    g = named_graph("k4")
+    full = full_report(g)
+    lower_only = full_report(g, upper_bounds=False)
+    assert lower_only.upper is None
+    assert lower_only.upper_genus is None and lower_only.upper_independence is None
+    assert lower_only.lower == full.lower
+    assert lower_only.rows == full.rows
+
+
+def test_exact_gonality_accepts_report_upper(corpus):
+    for g in corpus[:10]:
+        report = full_report(g)
+        assert exact_gonality(g, upper=report.upper) == exact_gonality(g)

@@ -182,3 +182,37 @@ def test_budget_seconds_env(capsys, monkeypatch):
     assert payload["lower"] >= 1
     assert payload["upper"] == 9
     assert "budget" in payload["reason"]
+
+
+@pytest.mark.parametrize(
+    "flag, env",
+    [("--budget", None), ("--budget-seconds", None), (None, "GONLAB_BUDGET_CANDIDATES"), (None, "GONLAB_BUDGET_SECONDS")],
+    ids=["flag-candidates", "flag-seconds", "env-candidates", "env-seconds"],
+)
+def test_zero_budget_is_a_cap(capsys, monkeypatch, flag, env):
+    if env:
+        monkeypatch.setenv(env, "0")
+    code, payload = run_json(capsys, "gonality", "cycle:8", *((flag, "0") if flag else ()))
+    assert code == 2
+    assert payload["lower"] == 1
+    assert payload["upper"] == 4
+    assert payload["cleared_degree"] == 0
+
+
+def test_random_honours_budget(capsys):
+    code, payload = run_json(
+        capsys, "random", "--k", "3", "--n", "8", "--samples", "4", "--seed", "7", "--budget", "0",
+    )
+    assert code == 0
+    assert len(payload["records"]) == 4
+    assert all(r["gonality"] is None for r in payload["records"])
+    assert payload["summary"]["gonality_evaluated"] == 0
+
+
+def test_bounds_cheeger_budget_gives_partial_report(capsys, monkeypatch):
+    monkeypatch.setenv("GONLAB_BUDGET_NODES", "50")
+    code, payload = run_json(capsys, "bounds", "pappus")
+    assert code == 2
+    assert payload["budget_limited"] is True
+    assert payload["rows"] == []
+    assert payload["lower"] <= 6 <= payload["upper"]

@@ -1,5 +1,6 @@
 import pytest
 
+from gonlab.budget import SearchBudget
 from gonlab.graph import named_graph
 from gonlab.randgraph import (
     ConfigModelParams,
@@ -114,3 +115,13 @@ def test_disconnected_samples_skipped_not_fatal():
         assert r.lambda2 is None
         assert r.gonality is None
     assert summary.connected_samples == 20 - len(disconnected)
+
+
+def test_cheeger_budget_does_not_abort_experiment():
+    params = ConfigModelParams(k=3, n=18, seed=4)
+    records, summary = run_experiment(params, 3, budget=SearchBudget(max_nodes=50))
+    assert summary.samples == 3
+    for r in records:
+        if r.connected:
+            assert r.lambda2 is not None
+            assert r.h is None and r.cheeger_bound is None and r.separator_bound is None
