@@ -346,7 +346,7 @@ def cmd_pappus_demo(args) -> int:
             "exhaustive": result.exhaustive,
         }
     else:
-        payload["gonality"] = {"lower": result.lower, "upper": result.upper}
+        payload["gonality"] = {"lower": max(result.lower, report.lower), "upper": result.upper}
     emit(payload, args.format)
     return EXIT_OK if certified and not report.budget_limited else EXIT_BUDGET
 

@@ -14,7 +14,6 @@ route is kept in the test suite as the independent oracle for this pruning.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,8 +84,12 @@ def edge_boundary(g: Multigraph, s) -> int:
     return sum(mult for u, v, mult in g.edges if (u in s) != (v in s))
 
 
-def _boundary_of_mask(g: Multigraph, mask: int) -> int:
-    return sum(mult for u, v, mult in g.edges if ((mask >> u) & 1) != ((mask >> v) & 1))
+def _adjacency_masks(g: Multigraph) -> list[int]:
+    adj = [0] * g.n
+    for u, v, _ in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
 
 def _scan_connected_subsets(g: Multigraph, max_size: int, visit, budget: SearchBudget):
@@ -99,10 +102,7 @@ def _scan_connected_subsets(g: Multigraph, max_size: int, visit, budget: SearchB
     multiplicity from w into the current subset.
     """
     n = g.n
-    adj_mask = [0] * n
-    for u, v, _ in g.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
+    adj_mask = _adjacency_masks(g)
     visits = 0
 
     def rec(mask: int, size: int, boundary: int, ext: int, banned: int):
@@ -142,14 +142,14 @@ def _mask_tuple(mask: int) -> tuple[int, ...]:
 
 def _heuristic_best_by_size(g: Multigraph, max_size: int):
     """Greedy local search: deterministic boundary-minimizing growth from
-    every start vertex.  Produces upper bounds on the per-size optima."""
-    best: dict[int, tuple[Fraction, int]] = {}
+    every start vertex.  Produces upper bounds on the per-size optima, as
+    size -> (boundary, mask)."""
+    best: dict[int, tuple[int, int]] = {}
 
     def consider(mask, size, boundary):
-        ratio = Fraction(boundary, size)
         cur = best.get(size)
-        if cur is None or ratio < cur[0]:
-            best[size] = (ratio, mask)
+        if cur is None or boundary < cur[0]:
+            best[size] = (boundary, mask)
 
     for start in range(g.n):
         mask = 1 << start
@@ -192,15 +192,17 @@ def cheeger_profile(
     half = g.n // 2
     exact = g.n <= exact_cap
     if exact:
-        best: dict[int, tuple[Fraction, int]] = {}
+        best: dict[int, tuple[int, int]] = {}
 
+        # Within one size the least boundary is the least ratio, and among
+        # equal sizes the set holding the lowest bit of mask ^ cur has the
+        # lexicographically smaller sorted tuple.
         def visit(mask, size, boundary):
-            ratio = Fraction(boundary, size)
             cur = best.get(size)
-            if cur is None or ratio < cur[0] or (
-                ratio == cur[0] and _mask_tuple(mask) < _mask_tuple(cur[1])
+            if cur is None or boundary < cur[0] or (
+                boundary == cur[0] and (d := mask ^ cur[1]) & -d & mask
             ):
-                best[size] = (ratio, mask)
+                best[size] = (boundary, mask)
 
         _scan_connected_subsets(g, half, visit, budget)
     else:
@@ -209,9 +211,10 @@ def cheeger_profile(
     points = []
     running: tuple[Fraction, int] | None = None
     for j in range(1, half + 1):
-        cand = best.get(j)
-        if cand is not None and (running is None or cand[0] < running[0]):
-            running = cand
+        if j in best:
+            boundary, mask = best[j]
+            if running is None or Fraction(boundary, j) < running[0]:
+                running = (Fraction(boundary, j), mask)
         points.append(
             CheegerPoint(
                 j=j,
@@ -223,98 +226,71 @@ def cheeger_profile(
     return CheegerProfile(n=g.n, exact=exact, points=tuple(points))
 
 
-def _component_masks(g: Multigraph, removed_mask: int) -> list[int]:
-    masks = []
-    seen = removed_mask
-    for s in range(g.n):
-        if (seen >> s) & 1:
-            continue
-        comp = 1 << s
-        seen |= 1 << s
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for w, _ in g.neighbors(x):
-                if not (seen >> w) & 1:
-                    seen |= 1 << w
-                    comp |= 1 << w
-                    stack.append(w)
-        masks.append(comp)
-    return masks
+def _bfs_components(adj: list[int], free: int, parent: list[int]):
+    """Yield the components of the free vertices as BFS orders.
 
-
-def _violating_subset(g: Multigraph, removed_mask: int, t: int) -> list[int] | None:
-    """A connected (t+1)-subset avoiding the removed set, if any component
-    is larger than t.  BFS-tree prefixes are connected, so the first t+1
-    vertices in BFS order work."""
-    for comp in _component_masks(g, removed_mask):
-        size = comp.bit_count()
-        if size > t:
-            start = (comp & -comp).bit_length() - 1
-            order = [start]
-            seen = 1 << start
-            queue = deque([start])
-            while queue and len(order) < t + 1:
-                x = queue.popleft()
-                for w, _ in g.neighbors(x):
-                    if (comp >> w) & 1 and not (seen >> w) & 1:
-                        seen |= 1 << w
-                        order.append(w)
-                        queue.append(w)
-                        if len(order) == t + 1:
-                            break
-            return order
-    return None
-
-
-def _packing_lower_bound(g: Multigraph, removed_mask: int, t: int) -> int:
-    """Number of vertex-disjoint connected (t+1)-subsets avoiding the
-    removed set, greedily packed bottom-up along BFS spanning trees.  Every
-    valid separator must hit each of them with a distinct vertex."""
-    count = 0
-    for comp in _component_masks(g, removed_mask):
-        if comp.bit_count() <= t:
-            continue
-        root = (comp & -comp).bit_length() - 1
-        parent = {root: None}
+    Components come in order of their smallest vertex, the BFS root, and
+    neighbours in ascending order (lowest set bit first), as `g.neighbors`
+    lists them.  `parent` receives the discoverer of every non-root vertex.
+    """
+    while free:
+        root = (free & -free).bit_length() - 1
+        free ^= 1 << root
         order = [root]
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for w, _ in g.neighbors(x):
-                if (comp >> w) & 1 and w not in parent:
-                    parent[w] = x
-                    order.append(w)
-                    queue.append(w)
-        size = {v: 1 for v in order}
-        for v in reversed(order):
-            if size[v] >= t + 1:
+        for x in order:  # appending while iterating walks the queue
+            new = adj[x] & free
+            free ^= new
+            while new:
+                w = (new & -new).bit_length() - 1
+                new &= new - 1
+                parent[w] = x
+                order.append(w)
+        yield order
+
+
+def _packing(adj: list[int], free: int, t: int, parent: list[int], subtree: list[int]):
+    """(count, witness) for the components of the free vertices.
+
+    `count` vertex-disjoint connected (t+1)-subsets are packed greedily
+    bottom-up along BFS spanning trees; every valid separator must hit each
+    of them with a distinct vertex.  `witness` is the first t+1 BFS vertices
+    of the first component larger than t (BFS-tree prefixes are connected),
+    or None when no component is.
+    """
+    count = 0
+    witness = None
+    for order in _bfs_components(adj, free, parent):
+        if len(order) <= t:
+            continue
+        if witness is None:
+            witness = order[: t + 1]
+        for v in order:
+            subtree[v] = 1
+        for v in order[:0:-1]:  # reverse BFS order: children before parents
+            if subtree[v] > t:
                 count += 1
-                size[v] = 0
-            if parent[v] is not None:
-                size[parent[v]] += size[v]
-    return count
+                subtree[v] = 0
+            subtree[parent[v]] += subtree[v]
+        if subtree[order[0]] > t:
+            count += 1
+    return count, witness
 
 
-def _greedy_separator(g: Multigraph, t: int) -> frozenset[int]:
-    removed: set[int] = set()
-    mask = 0
+def _greedy_separator(g: Multigraph, adj: list[int], t: int) -> int:
+    """Mask of a valid separator: repeatedly remove the vertex with the most
+    edges inside the largest component above t."""
+    full = (1 << g.n) - 1
+    parent = [0] * g.n
+    removed = 0
     while True:
-        target = None
-        for comp in _component_masks(g, mask):
-            if comp.bit_count() > t and (
-                target is None or comp.bit_count() > target.bit_count()
-            ):
-                target = comp
-        if target is None:
-            return frozenset(removed)
-        verts = _mask_tuple(target)
-        w = max(
-            verts,
-            key=lambda v: (sum(m for x, m in g.neighbors(v) if (target >> x) & 1), -v),
+        target = max(_bfs_components(adj, full & ~removed, parent), key=len)
+        if len(target) <= t:
+            return removed
+        inside = sum(1 << v for v in target)
+        removed |= 1 << max(
+            target,
+            key=lambda v: (sum(m for x, m in g.neighbors(v) if (inside >> x) & 1), -v),
         )
-        removed.add(w)
-        mask |= 1 << w
 
 
 def b_u(
@@ -337,13 +313,17 @@ def b_u(
     if t < 1:
         raise ValueError(f"u={u} allows no vertices per component (u*n < 1)")
 
-    incumbent = _greedy_separator(g, t)
-    root_lb = _packing_lower_bound(g, 0, t)
+    adj = _adjacency_masks(g)
+    full = (1 << g.n) - 1
+    parent = [0] * g.n
+    subtree = [0] * g.n
+    incumbent = _greedy_separator(g, adj, t)
+    root_lb = _packing(adj, full, t, parent, subtree)[0]
     nodes = 0
     exhausted = False
     visited: set[int] = set()
 
-    def dfs(removed: frozenset[int], mask: int):
+    def dfs(mask: int):
         nonlocal incumbent, nodes, exhausted
         if exhausted:
             return
@@ -356,31 +336,31 @@ def b_u(
         if mask in visited:
             return
         visited.add(mask)
-        if len(removed) + _packing_lower_bound(g, mask, t) >= len(incumbent):
+        count, witness = _packing(adj, full & ~mask, t, parent, subtree)
+        if mask.bit_count() + count >= incumbent.bit_count():
             return
-        witness = _violating_subset(g, mask, t)
         if witness is None:
-            incumbent = removed  # strictly smaller: the prune above passed
+            incumbent = mask  # strictly smaller: the prune above passed
             return
         for w in sorted(witness, key=lambda v: (-g.val(v), v)):
-            dfs(removed | {w}, mask | (1 << w))
+            dfs(mask | (1 << w))
 
     try:
-        dfs(frozenset(), 0)
+        dfs(0)
     except BudgetExceededError:
         exhausted = True
 
-    comps = components(g, incumbent)
-    sizes = tuple(sorted((len(c) for c in comps), reverse=True))
+    separator = frozenset(_mask_tuple(incumbent))
+    sizes = tuple(sorted((len(c) for c in components(g, separator)), reverse=True))
     assert all(s <= t for s in sizes)
     return SeparatorCertificate(
         u=u,
         max_component=t,
-        separator=incumbent,
-        size=len(incumbent),
+        separator=separator,
+        size=len(separator),
         component_sizes=sizes,
         optimal=not exhausted,
-        lower_bound=len(incumbent) if not exhausted else min(root_lb, len(incumbent)),
+        lower_bound=len(separator) if not exhausted else min(root_lb, len(separator)),
     )
 
 

@@ -176,9 +176,9 @@ def max_independent_set(
 ) -> tuple[frozenset[int], bool]:
     """Branch-and-bound maximum independent set.
 
-    Returns (set, exact).  When the node budget runs out the best set found
-    so far is returned with exact=False; it is still independent, so any
-    bound derived from it stays valid.
+    Returns (set, exact).  When the node or time budget runs out the best
+    set found so far is returned with exact=False; it is still independent,
+    so any bound derived from it stays valid.
     """
     best = greedy_independent_set(g)
     nodes = 0
@@ -192,6 +192,8 @@ def max_independent_set(
         if nodes > budget.max_nodes:
             exhausted = True
             return
+        if nodes % 1024 == 0:
+            budget.check_deadline("independent set search")
         if len(picked) + len(cand) <= len(best):
             return
         if not cand:
@@ -203,7 +205,10 @@ def max_independent_set(
         expand(cand - closed, picked + (v,))
         expand(cand - {v}, picked)
 
-    expand(frozenset(range(g.n)), ())
+    try:
+        expand(frozenset(range(g.n)), ())
+    except BudgetExceededError:
+        exhausted = True
     return best, not exhausted
 
 

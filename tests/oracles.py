@@ -167,6 +167,28 @@ def brute_h_u(g: Multigraph, j: int) -> Fraction:
     return best
 
 
+def brute_cheeger_witness(g: Multigraph, j: int) -> frozenset[int]:
+    """The witness the exact profile must report at u = j/n.
+
+    Per size s <= j: among all connected s-subsets, the least boundary,
+    then the lexicographically least sorted tuple.  Over sizes: the running
+    minimum ratio, replaced only on strict improvement.
+    """
+    running = None
+    for size in range(1, j + 1):
+        best = None
+        for subset in itertools.combinations(range(g.n), size):  # lexicographic
+            if len(components(g, set(range(g.n)) - set(subset))) != 1:
+                continue
+            boundary = brute_boundary(g, subset)
+            if best is None or boundary < best[0]:
+                best = (boundary, subset)
+        ratio = Fraction(best[0], size)
+        if running is None or ratio < running[0]:
+            running = (ratio, best[1])
+    return frozenset(running[1])
+
+
 def brute_b_u(g: Multigraph, t: int) -> int:
     """Minimum removal set leaving components of size <= t, by increasing size."""
     for size in range(g.n + 1):

@@ -168,6 +168,14 @@ def test_pappus_demo(capsys):
     assert table[9] == "7/9"
 
 
+def test_pappus_demo_stopped_search_keeps_report_lower_bound(capsys):
+    code, payload = run_json(capsys, "pappus-demo", "--budget-seconds", "0")
+    assert code == 2
+    assert "value" not in payload["gonality"]
+    assert payload["gonality"]["lower"] >= payload["bracket"]["lower"] > 1
+    assert payload["gonality"]["upper"] == payload["bracket"]["upper"]
+
+
 def test_threads_env_applies(capsys, monkeypatch):
     monkeypatch.setenv("GONLAB_THREADS", "2")
     code, payload = run_json(capsys, "gonality", "cycle:6")

@@ -11,7 +11,7 @@ from gonlab.expansion import (
     separator_bipartition,
 )
 from gonlab.graph import Multigraph, components, named_graph
-from oracles import brute_b_u, brute_boundary, brute_h_u
+from oracles import brute_b_u, brute_boundary, brute_cheeger_witness, brute_h_u
 
 
 def test_edge_boundary_trivial():
@@ -78,6 +78,17 @@ def test_connectivity_pruning_matches_all_subsets(corpus):
         profile = cheeger_profile(g)
         for p in profile.points:
             assert p.value == brute_h_u(g, p.j), (g.edges, p.j)
+
+
+def test_cheeger_witness_tie_break_matches_oracle(corpus, pappus):
+    """Witnesses are the lexicographically least connected minimizers."""
+    graphs = [x for x in corpus if x.n <= 9][:30] + [pappus]
+    assert sum(any(mult > 1 for _, _, mult in g.edges) for g in graphs) >= 10
+    for g in graphs:
+        profile = cheeger_profile(g)
+        for p in profile.points:
+            if g.n <= 9 or p.j <= 3:
+                assert p.witness == brute_cheeger_witness(g, p.j), (g.edges, p.j)
 
 
 def test_regular_half_edge_identity(corpus):

@@ -1,5 +1,8 @@
-"""Byte-for-byte CLI output against fixtures captured before the bound
-pipeline was merged into `full_report`.
+"""Byte-for-byte CLI output against fixtures captured from earlier versions.
+
+The bound report, demo and harness fixtures pin the folded bounds; the
+`cheeger` and `bu` fixtures pin the Cheeger witnesses and the separator
+sets, which depend on the engines' tie-break rules.
 
 A change that alters any of these outputs on purpose regenerates the
 fixture with the command in `GOLDEN` (plus ``--format json``) and says why
@@ -16,6 +19,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 GOLDEN = {
     "bounds_pappus.json": ("bounds", "pappus"),
+    "bu_pappus_u5_18.json": ("bu", "pappus", "--u", "5/18"),
+    "bu_pappus_u9_18.json": ("bu", "pappus", "--u", "9/18"),
+    "cheeger_pappus.json": ("cheeger", "pappus"),
     "pappus_demo.json": ("pappus-demo",),
     "random_k3_n12_s20_seed5.json": ("random", "--k", "3", "--n", "12", "--samples", "20", "--seed", "5"),
     "random_k3_n40_s2_seed42.json": ("random", "--k", "3", "--n", "40", "--samples", "2", "--seed", "42"),

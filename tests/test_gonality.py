@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from conftest import complete_graph
@@ -123,6 +125,15 @@ def test_max_independent_set_is_independent_and_maximal(corpus):
         assert exact
         assert all(w not in s for v in s for w, _ in g.neighbors(v))
         assert len(s) >= len(greedy_independent_set(g))
+
+
+def test_max_independent_set_honours_deadline():
+    g = named_graph("cycle:120")
+    start = time.monotonic()
+    s, exact = max_independent_set(g, SearchBudget.with_seconds(0.5))
+    assert time.monotonic() - start < 3
+    assert not exact
+    assert all(w not in s for v in s for w, _ in g.neighbors(v))
 
 
 def test_complement_divisor_has_positive_rank(corpus, pappus):
