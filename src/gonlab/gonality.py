@@ -94,13 +94,14 @@ def exact_gonality(
     degree, independent of the worker count.
 
     `upper` is a precomputed gonality upper bound (a bound report's
-    `upper`); when None, the genus and independence bounds are computed
-    here.
+    `upper`); when None, the genus bound and the complement of a greedy
+    independent set give one in linear time, so the whole budget goes to
+    the search.
     """
     if not g.is_connected():
         raise ValueError("gonality search requires a connected graph")
     if upper is None:
-        upper = independence_upper_bound(g, budget)
+        upper = max(1, complement_divisor(g, greedy_independent_set(g)).degree())
         if genus(g) != 1:
             upper = min(upper, genus_upper_bound(g))
     limit = upper if max_degree is None else min(upper, max_degree)

@@ -5,7 +5,8 @@ production code paths it is used to check: linear equivalence through
 Smith-normal-form lattice membership (not reduced forms), rank through
 exhaustive enumeration of equivalent effective divisors (not burning),
 expansion constants through all-subsets scans (not connected-only
-pruning), and separators through subsets-by-increasing-size.
+pruning), separators through subsets-by-increasing-size, and the
+algebraic connectivity through exact definiteness tests (not eigensolvers).
 Only small graphs are in scope; nothing here needs to be fast.
 """
 
@@ -211,3 +212,51 @@ def separations(g: Multigraph):
         if any((u in a_set and v in b_set) or (u in b_set and v in a_set) for u, v, _ in g.edges):
             continue
         yield a, b, [v for v in verts if assignment[v] == 2]
+
+
+def _positive_definite(mat: list[list[int]]) -> bool:
+    """Sylvester's criterion on a symmetric integer matrix, exactly.
+
+    Fraction-free Bareiss elimination without pivoting: after step k the
+    pivot is the (k+1)-th leading principal minor, and every division is
+    exact.
+    """
+    a = [row[:] for row in mat]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return True
+
+
+def _shifted_laplacian(g: Multigraph, sigma: Fraction) -> list[list[int]]:
+    """den * (A - sigma*I + c*J) with A the positive-semidefinite Laplacian,
+    J all ones, c = floor(sigma/n) + 1 > sigma/n and den the denominator of
+    the dyadic sigma.  Its eigenvalues are c*n - sigma on the all-ones
+    vector and lambda_i - sigma on its complement, so it is positive
+    definite exactly when lambda2 > sigma."""
+    den = sigma.denominator
+    c = sigma.numerator // (den * g.n) + 1
+    mat = [[den * c] * g.n for _ in range(g.n)]
+    for u, v, mult in g.edges:
+        mat[u][v] -= den * mult
+        mat[v][u] -= den * mult
+    for v in range(g.n):
+        mat[v][v] += den * g.val(v) - sigma.numerator
+    return mat
+
+
+def lambda2_in(g: Multigraph, lo: float, hi: float) -> bool:
+    """Whether lo <= lambda2 <= hi, strictly above lo when lo > 0.
+
+    lambda2 > lo needs no test for lo <= 0: the Laplacian is positive
+    semidefinite.  Float endpoints are dyadic, so both tests are exact.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    above_lo = lo <= 0 or _positive_definite(_shifted_laplacian(g, lo))
+    return above_lo and not _positive_definite(_shifted_laplacian(g, hi))

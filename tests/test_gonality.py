@@ -136,6 +136,16 @@ def test_max_independent_set_honours_deadline():
     assert all(w not in s for v in s for w, _ in g.neighbors(v))
 
 
+def test_exact_gonality_deadline_goes_to_the_search():
+    """Without `upper=`, the upper bound must not spend the deadline before
+    degree 1: the exact independent set of cycle:60 alone takes minutes."""
+    start = time.monotonic()
+    result = exact_gonality(named_graph("cycle:60"), SearchBudget.with_seconds(3))
+    assert time.monotonic() - start < 1
+    assert isinstance(result, GonalityCertificate)
+    assert result.value == 2
+
+
 def test_complement_divisor_has_positive_rank(corpus, pappus):
     for g in corpus[:20] + [pappus]:
         indep, _ = max_independent_set(g)

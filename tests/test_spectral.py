@@ -1,43 +1,72 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from conftest import complete_graph, erdos_renyi_connected
 from gonlab.graph import Multigraph, laplacian, named_graph
+from gonlab.randgraph import ConfigModelParams, sample_configuration
 from gonlab.spectral import (
     algebraic_connectivity,
     gonality_bound_formula,
-    jacobi_eigh,
     separator_lower_bound,
     spectral_gonality_bound,
     support_quadratic,
 )
-from oracles import separations
+from oracles import lambda2_in, separations
 
 
-def test_jacobi_against_numpy(corpus):
+def test_lambda2_against_numpy(corpus):
     for g in corpus[:15]:
         m = -laplacian(g).astype(float)
-        values, vectors, off = jacobi_eigh(m, tol=1e-10)
-        reference = np.linalg.eigvalsh(m)
-        assert off <= 1e-10
-        assert np.allclose(values, reference, atol=1e-9)
-        # eigenvector residuals
-        for i in range(g.n):
-            residual = m @ vectors[:, i] - values[i] * vectors[:, i]
-            assert np.linalg.norm(residual) <= 1e-8
+        s = algebraic_connectivity(g)
+        assert abs(s.lambda2 - np.linalg.eigvalsh(m)[1]) <= 1e-9
+        assert s.error_bound <= 1e-9  # the default tol, met for n <= 100
+        x = np.array(s.fiedler_vector)
+        assert np.linalg.norm(m @ x - s.lambda2 * x) <= 1e-8
+        assert abs(x.sum()) <= 1e-9
 
 
-def test_jacobi_trace_and_psd(corpus):
-    for g in corpus[:15]:
-        m = -laplacian(g).astype(float)
-        values, _, _ = jacobi_eigh(m, tol=1e-9)
-        assert abs(values.sum() - 2 * g.m) <= g.n * 1e-9
-        assert values.min() >= -1e-9
-        if g.is_connected():
-            assert abs(values[0]) <= 1e-9
+def test_lambda2_nonnegative(corpus):
+    disconnected = [
+        Multigraph.from_edges(4, [(0, 1), (2, 3)]),
+        Multigraph.from_edges(5, [(0, 1), (0, 1), (1, 2), (3, 4)]),
+        Multigraph(3, ()),
+    ]
+    for g in corpus[:15] + disconnected:
+        s = algebraic_connectivity(g)
+        assert s.lambda2 >= 0
+        if not g.is_connected():
+            assert s.lambda2 <= 1e-9
+
+
+def test_lambda2_interval_is_exact(corpus, pappus):
+    """The certified interval holds in exact arithmetic (oracles.lambda2_in),
+    including Pappus, whose lambda2 has multiplicity 6."""
+    graphs = corpus[:40] + [pappus, named_graph("path:2"), Multigraph.from_edges(4, [(0, 1), (2, 3)])]
+    graphs += [complete_graph(n) for n in (3, 4, 5, 6)]
+    assert sum(any(mult > 1 for _, _, mult in g.edges) for g in corpus[:40]) >= 10
+    for g in graphs:
+        assert lambda2_in(g, *algebraic_connectivity(g).interval)
+
+
+def test_lambda2_oracle_rejects_wrong_interval(pappus):
+    s = algebraic_connectivity(pappus)
+    lo, hi = s.interval
+    assert not lambda2_in(pappus, s.lambda2 + 1e-6, hi)
+    assert not lambda2_in(pappus, lo, s.lambda2 - 1e-6)
+
+
+def test_lambda2_large_cubic_certifies_quickly():
+    g = sample_configuration(ConfigModelParams(k=3, n=400, seed=0))
+    assert g.is_connected()
+    start = time.perf_counter()
+    s = algebraic_connectivity(g)
+    assert time.perf_counter() - start < 2.0
+    assert 0 < s.error_bound <= 1e-8
+    assert abs(s.lambda2 - np.linalg.eigvalsh(-laplacian(g).astype(float))[1]) <= 1e-9
 
 
 def test_k2_lambda2():
@@ -178,10 +207,9 @@ def test_spectral_bound_rejects_disconnected():
         spectral_gonality_bound(g)
 
 
-def test_jacobi_determinism(pappus):
-    m = -laplacian(pappus).astype(float)
-    v1, e1, o1 = jacobi_eigh(m, tol=1e-9)
-    v2, e2, o2 = jacobi_eigh(m, tol=1e-9)
-    assert np.array_equal(v1, v2)
-    assert np.array_equal(e1, e2)
-    assert o1 == o2
+def test_algebraic_connectivity_determinism(corpus, pappus):
+    for g in corpus[:15] + [pappus]:
+        s1, s2 = algebraic_connectivity(g), algebraic_connectivity(g)
+        assert s1.lambda2 == s2.lambda2
+        assert s1.error_bound == s2.error_bound
+        assert s1.fiedler_vector == s2.fiedler_vector
