@@ -161,7 +161,6 @@ def full_report(
     *,
     exact_cheeger_cap: int = DEFAULT_EXACT_CHEEGER_CAP,
     separator_cap: int = DEFAULT_EXACT_CHEEGER_CAP,
-    tol: float = 1e-9,
     upper_bounds: bool = True,
 ) -> BoundReport:
     """Run every applicable bound stage and fold the final integer bracket.
@@ -169,8 +168,9 @@ def full_report(
     The stages are the exact Cheeger profile, the separators, the spectral
     bound and, when `upper_bounds` is set, the genus and independence upper
     bounds.  A Cheeger scan or separator search stopped by the budget is
-    excluded from the lower-bound fold (soundness firewall), recorded in
-    `notes` and flags `budget_limited`.
+    excluded from the lower-bound fold (soundness firewall); it, or a
+    stopped independent-set search, is recorded in `notes` and flags
+    `budget_limited`.
     """
     if not g.is_connected():
         raise ValueError("bound report requires a connected graph")
@@ -238,13 +238,19 @@ def full_report(
 
     spectral = None
     if g.n >= 2:
-        spectral = spectral_gonality_bound(g, tol=tol)
+        spectral = spectral_gonality_bound(g)
 
     loose = genus_bound_is_loose(g)
     upper_genus = upper_independence = upper = None
     if upper_bounds:
         upper_genus = genus_upper_bound(g)
-        upper_independence = independence_upper_bound(g, budget)
+        upper_independence, exact = independence_upper_bound(g, budget)
+        if not exact:
+            notes.append(
+                f"independent set search exhausted budget: independence upper bound "
+                f"{upper_independence} comes from the best set found"
+            )
+            budget_limited = True
         upper = upper_independence if loose else min(upper_genus, upper_independence)
         if loose:
             notes.append("genus 1: the genus upper bound is loose and excluded from the fold")

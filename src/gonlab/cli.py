@@ -153,7 +153,7 @@ def cmd_bu(args) -> int:
 
 def cmd_spectral(args) -> int:
     g = resolve_graph(args.graph)
-    summary = algebraic_connectivity(g, tol=args.tol)
+    summary = algebraic_connectivity(g)
     payload = {
         "n": summary.n,
         "d_max": summary.d_max,
@@ -162,7 +162,7 @@ def cmd_spectral(args) -> int:
         "connected": summary.connected,
     }
     if summary.connected:
-        bound = spectral_gonality_bound(g, tol=args.tol)
+        bound = spectral_gonality_bound(g)
         payload["gonality_bound"] = {
             "value": bound.value,
             "low": bound.low,
@@ -287,7 +287,6 @@ def cmd_bounds(args) -> int:
         build_budget(args),
         exact_cheeger_cap=args.cheeger_cap,
         separator_cap=args.separator_cap,
-        tol=args.tol,
     )
     emit(_report_payload(report), args.format)
     return EXIT_BUDGET if report.budget_limited else EXIT_OK
@@ -299,7 +298,6 @@ def cmd_random(args) -> int:
         gonality_cap=args.gonality_cap,
         cheeger_cap=args.cheeger_cap,
         separator_cap=args.separator_cap,
-        tol=args.tol,
     )
     records, summary = run_experiment(
         params, args.samples, caps, threads=_threads(args), budget=build_budget(args)
@@ -375,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="algebraic connectivity and the spectral bound")
     _add_common(p)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("reduce", help="v-reduced form of a divisor")
@@ -400,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--cheeger-cap", type=int, default=24)
     p.add_argument("--separator-cap", type=int, default=24)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("random", help="configuration-model experiment harness")
@@ -413,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gonality-cap", type=int, default=12)
     p.add_argument("--cheeger-cap", type=int, default=20)
     p.add_argument("--separator-cap", type=int, default=16)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--emit-graphs", default=None, help="write each sample as an edge list into this directory")
     p.set_defaults(func=cmd_random)

@@ -28,27 +28,29 @@ def compositions_colex(total: int, parts: int):
 def compositions_colex_slice(total: int, parts: int, start: int, stop: int):
     """Yield compositions with colex rank in [start, stop), in order.
 
-    Whole subtrees outside the window are skipped using binomial counts, so
+    The composition of rank `start` is unranked from binomial counts, so
     seeking costs O(parts * total) rather than enumerating from rank 0.
+    Each next one is its colex successor: one chip of the lowest non-empty
+    vertex moves up by one, and that vertex's other chips go to vertex 0.
     """
-    if parts < 1 or total < 0 or start >= stop:
+    start = max(start, 0)
+    stop = min(stop, count_compositions(total, parts))
+    if start >= stop:
         return
-
-    def rec(remaining: int, k: int, base: int):
-        # base = rank of the first vector of this subtree
-        if k == 1:
-            if start <= base < stop:
-                yield (remaining,)
-            return
-        for last in range(remaining + 1):
-            block = count_compositions(remaining - last, k - 1)
-            if base + block <= start:
-                base += block
-                continue
-            if base >= stop:
-                return
-            for prefix in rec(remaining - last, k - 1, base):
-                yield prefix + (last,)
-            base += block
-
-    yield from rec(total, parts, 0)
+    chips = [0] * parts
+    rest, rank = total, start
+    for k in range(parts - 1, 0, -1):  # c chips on k span count(rest - c, k) ranks below
+        while rank >= (block := count_compositions(rest - chips[k], k)):
+            rank -= block
+            chips[k] += 1
+        rest -= chips[k]
+    chips[0] = rest
+    for _ in range(stop - start - 1):
+        yield tuple(chips)
+        low = 0
+        while not chips[low]:
+            low += 1
+        moved, chips[low] = chips[low], 0
+        chips[low + 1] += 1
+        chips[0] = moved - 1
+    yield tuple(chips)

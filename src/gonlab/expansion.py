@@ -46,12 +46,6 @@ class CheegerProfile:
     exact: bool
     points: tuple[CheegerPoint, ...]
 
-    def point(self, j: int) -> CheegerPoint:
-        for p in self.points:
-            if p.j == j:
-                return p
-        raise KeyError(f"no grid point j={j}")
-
     @property
     def h(self) -> Fraction:
         """The plain Cheeger constant h(G) = h at u = 1/2."""
@@ -103,17 +97,10 @@ def _scan_connected_subsets(g: Multigraph, max_size: int, visit, budget: SearchB
     """
     n = g.n
     adj_mask = _adjacency_masks(g)
-    visits = 0
+    tick = budget.meter("cheeger scan", budget.max_nodes).tick
 
     def rec(mask: int, size: int, boundary: int, ext: int, banned: int):
-        nonlocal visits
-        visits += 1
-        if visits % 4096 == 0:
-            budget.check_deadline("cheeger scan")
-            if visits > budget.max_nodes:
-                raise BudgetExceededError(
-                    f"connected-subset scan exceeded {budget.max_nodes} nodes"
-                )
+        tick()
         visit(mask, size, boundary)
         if size == max_size:
             return
@@ -183,7 +170,9 @@ def cheeger_profile(
     """h_u over the full grid {j/n : 1 <= j <= n//2}.
 
     Exact (enumerated) for n <= exact_cap; beyond the cap a deterministic
-    greedy search returns upper bounds only, flagged exact=False.
+    greedy search returns upper bounds only, flagged exact=False.  The
+    exact scan raises BudgetExceededError when the node or time budget
+    runs out: a partial scan bounds nothing.
     """
     if not g.is_connected():
         raise ValueError("cheeger profile requires a connected graph")
@@ -302,9 +291,9 @@ def b_u(
     Branching: any valid separator must contain a vertex of every connected
     ((t+1))-subset it misses, so one such subset is located and each of its
     vertices tried in turn.  Pruning combines the incumbent with a packing
-    lower bound from vertex-disjoint violating subsets.  When the node
-    budget runs out, the incumbent is returned with optimal=False and the
-    root packing bound as `lower_bound`.
+    lower bound from vertex-disjoint violating subsets.  When the node or
+    time budget runs out, the incumbent is returned with optimal=False and
+    the root packing bound as `lower_bound`.
     """
     u = Fraction(u)
     if not (0 < u <= Fraction(1, 2)):
@@ -319,20 +308,12 @@ def b_u(
     subtree = [0] * g.n
     incumbent = _greedy_separator(g, adj, t)
     root_lb = _packing(adj, full, t, parent, subtree)[0]
-    nodes = 0
-    exhausted = False
+    tick = budget.meter("separator search", budget.max_nodes).tick
     visited: set[int] = set()
 
     def dfs(mask: int):
-        nonlocal incumbent, nodes, exhausted
-        if exhausted:
-            return
-        nodes += 1
-        if nodes > budget.max_nodes:
-            exhausted = True
-            return
-        if nodes % 1024 == 0:
-            budget.check_deadline("separator search")
+        nonlocal incumbent
+        tick()
         if mask in visited:
             return
         visited.add(mask)
@@ -347,8 +328,9 @@ def b_u(
 
     try:
         dfs(0)
+        optimal = True
     except BudgetExceededError:
-        exhausted = True
+        optimal = False
 
     separator = frozenset(_mask_tuple(incumbent))
     sizes = tuple(sorted((len(c) for c in components(g, separator)), reverse=True))
@@ -359,8 +341,8 @@ def b_u(
         separator=separator,
         size=len(separator),
         component_sizes=sizes,
-        optimal=not exhausted,
-        lower_bound=len(separator) if not exhausted else min(root_lb, len(separator)),
+        optimal=optimal,
+        lower_bound=len(separator) if optimal else min(root_lb, len(separator)),
     )
 
 

@@ -51,10 +51,9 @@ def _search_slice(g: Multigraph, degree: int, start: int, stop: int, budget: Sea
     Slices are colex-contiguous, so the first hit inside a slice is the
     slice minimum and slices can be searched independently.
     """
+    tick = budget.meter("gonality search").tick
     for i, cand in enumerate(compositions_colex_slice(degree, g.n, start, stop)):
-        if i % 512 == 0:
-            budget.check_deadline("gonality search")
-        if _positive_rank_obstruction(g, list(cand)) is None:
+        if _positive_rank_obstruction(g, list(cand), tick) is None:
             return (start + i, cand)
     return None
 
@@ -182,19 +181,11 @@ def max_independent_set(
     so any bound derived from it stays valid.
     """
     best = greedy_independent_set(g)
-    nodes = 0
-    exhausted = False
+    tick = budget.meter("independent set search", budget.max_nodes).tick
 
     def expand(cand: frozenset[int], picked: tuple[int, ...]):
-        nonlocal best, nodes, exhausted
-        if exhausted:
-            return
-        nodes += 1
-        if nodes > budget.max_nodes:
-            exhausted = True
-            return
-        if nodes % 1024 == 0:
-            budget.check_deadline("independent set search")
+        nonlocal best
+        tick()
         if len(picked) + len(cand) <= len(best):
             return
         if not cand:
@@ -208,12 +199,15 @@ def max_independent_set(
 
     try:
         expand(frozenset(range(g.n)), ())
+        exact = True
     except BudgetExceededError:
-        exhausted = True
-    return best, not exhausted
+        exact = False
+    return best, exact
 
 
-def independence_upper_bound(g: Multigraph, budget: SearchBudget = DEFAULT_BUDGET) -> int:
+def independence_upper_bound(
+    g: Multigraph, budget: SearchBudget = DEFAULT_BUDGET
+) -> tuple[int, bool]:
     """Upper bound from the complement of an independent set, which carries
     a positive-rank divisor.  Equals n - alpha(G) on simple graphs.
 
@@ -221,14 +215,15 @@ def independence_upper_bound(g: Multigraph, budget: SearchBudget = DEFAULT_BUDGE
     multiplicities (see complement_divisor): with one chip per vertex the
     divisor can fail to have positive rank, and on banana graphs (two
     vertices, m parallel edges, gonality 2) the unweighted value n - alpha
-    = 1 is not even a correct bound.  Degrades to the greedy independent
-    set under budget pressure, which keeps the bound valid, just weaker.
+    = 1 is not even a correct bound.
 
-    Floored at 1: gonality is at least 1, and on a single vertex the
-    complement is empty.
+    Returns (bound, exact).  When the budget stops the search, the bound
+    comes from the best independent set found so far, with exact=False:
+    still valid, just weaker.  Floored at 1: gonality is at least 1, and on
+    a single vertex the complement is empty.
     """
-    indep, _ = max_independent_set(g, budget)
-    return max(1, complement_divisor(g, indep).degree())
+    indep, exact = max_independent_set(g, budget)
+    return max(1, complement_divisor(g, indep).degree()), exact
 
 
 def complement_divisor(g: Multigraph, independent: frozenset[int]) -> Divisor:

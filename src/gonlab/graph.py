@@ -76,10 +76,6 @@ class Multigraph:
         return self._val[v]
 
     @property
-    def valences(self) -> tuple[int, ...]:
-        return self._val
-
-    @property
     def max_valence(self) -> int:
         return max(self._val)
 

@@ -108,7 +108,6 @@ class ExperimentCaps:
     gonality_cap: int = 12
     cheeger_cap: int = 20
     separator_cap: int = 16
-    tol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,6 @@ def _evaluate_sample(
         budget,
         exact_cheeger_cap=caps.cheeger_cap,
         separator_cap=caps.separator_cap,
-        tol=caps.tol,
         upper_bounds=in_cap,
     )
     gonality = sandwich = None

@@ -181,12 +181,14 @@ def _support_distance_order(g: Multigraph, chips) -> list[int]:
     return sorted(range(g.n), key=lambda w: (-dist[w], w))
 
 
-def _positive_rank_obstruction(g: Multigraph, chips: list[int]) -> int | None:
+def _positive_rank_obstruction(g: Multigraph, chips: list[int], tick=lambda: None) -> int | None:
     """First vertex whose reduced form holds no chip, or None if rank >= 1.
 
-    `chips` must be effective on a connected graph.
+    `chips` must be effective on a connected graph.  `tick` is called
+    before each reduction, so a budget meter can stop a slow test part way.
     """
     for v in _support_distance_order(g, chips):
+        tick()
         if _reduce_chips(g, list(chips), v)[v] < 1:
             return v
     return None
@@ -235,9 +237,9 @@ def find_rank_obstruction(
             f"rank test needs {total} subtrahend divisors, cap is {budget.max_candidates}"
         )
     base = list(d.chips)
-    for i, e in enumerate(compositions_colex(r, g.n)):
-        if i % 1024 == 0:
-            budget.check_deadline("rank test")
+    tick = budget.meter("rank test").tick
+    for e in compositions_colex(r, g.n):
+        tick()
         chips = [b - c for b, c in zip(base, e)]
         reduced = _reduce_chips(g, chips, 0)
         if any(c < 0 for c in reduced):

@@ -23,10 +23,10 @@ vector; two checks that hold under rounding then prove lo <= lambda2 <= hi.
   (a disconnected graph, or lambda2 within the margin of 0), lo = 0 needs
   no test, since A is positive semidefinite.
 
-sigma sits max(tol/2, 3r) below the estimate, so `error_bound` is about
-max(tol/2, 3r): at most `tol` until 3r reaches it.  r grows like
-n * tr M * 2^-53, so with the default tol=1e-9 cubic graphs from about
-n = 870 get the wider certified `error_bound` (1.3e-9 at n = 1000).
+sigma sits max(TOL/2, 3r) below the estimate, so `error_bound` is about
+max(TOL/2, 3r): at most TOL = 1e-9 until 3r reaches it.  r grows like
+n * tr M * 2^-53, so cubic graphs from about n = 870 get the wider
+certified `error_bound` (1.3e-9 at n = 1000).
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ from fractions import Fraction
 import numpy as np
 
 from gonlab.graph import Multigraph, laplacian
+
+TOL = 1e-9
+"""The `error_bound` aimed for; a larger Cholesky rounding margin overrides it."""
 
 
 @dataclass(frozen=True)
@@ -62,10 +65,10 @@ def _round_up(q: Fraction) -> float:
     return f if Fraction(f) >= q else math.nextafter(f, math.inf)
 
 
-def algebraic_connectivity(g: Multigraph, tol: float = 1e-9) -> SpectralSummary:
+def algebraic_connectivity(g: Multigraph) -> SpectralSummary:
     """lambda_2 of the positive-semidefinite Laplacian with a certified error.
 
-    `error_bound` is at most `tol` unless the rounding margin of the
+    `error_bound` is at most TOL unless the rounding margin of the
     Cholesky test is larger (see the module docstring).  The zero test for
     connectivity is combinatorial (graph search), never numeric: lambda2 of
     a disconnected graph is reported as the computed near-zero value
@@ -73,8 +76,6 @@ def algebraic_connectivity(g: Multigraph, tol: float = 1e-9) -> SpectralSummary:
     """
     if g.n < 2:
         raise ValueError("algebraic connectivity needs at least 2 vertices")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     n = g.n
     psd = -laplacian(g).astype(float)
     values, vectors = np.linalg.eigh(psd)
@@ -95,7 +96,7 @@ def algebraic_connectivity(g: Multigraph, tol: float = 1e-9) -> SpectralSummary:
     gamma = Fraction(n + 1, 2**53 - n - 1)
     margin = gamma / (1 - gamma) * (2 * g.m + n * c) + Fraction(4 * (2 * n + 4 + top), 2**1074)
     r = math.ceil(margin / unit) * unit
-    sigma = math.floor((Fraction(estimate) - max(Fraction(tol) / 2, 3 * r)) / unit) * unit
+    sigma = math.floor((Fraction(estimate) - max(Fraction(TOL) / 2, 3 * r)) / unit) * unit
     lo = Fraction(0)
     if sigma > 0:
         shifted = psd + c
@@ -171,7 +172,7 @@ class SpectralBound:
     n: int
 
 
-def spectral_gonality_bound(g: Multigraph, tol: float = 1e-9) -> SpectralBound:
+def spectral_gonality_bound(g: Multigraph) -> SpectralBound:
     """Closed-form gonality lower bound from lambda2 and the maximum valence.
 
     Refuses disconnected graphs (lambda2 = 0 makes the expression
@@ -179,7 +180,7 @@ def spectral_gonality_bound(g: Multigraph, tol: float = 1e-9) -> SpectralBound:
     interval; `ceiling` uses the interval's low end, so it is itself
     certified.
     """
-    summary = algebraic_connectivity(g, tol=tol)
+    summary = algebraic_connectivity(g)
     if not summary.connected:
         raise ValueError("spectral gonality bound requires a connected graph")
     lam_lo, lam_hi = summary.interval

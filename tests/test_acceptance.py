@@ -141,7 +141,7 @@ def test_criterion_6_soundness_sandwich(corpus):
     for g in corpus:
         result = exact_gonality(g)
         assert isinstance(result, GonalityCertificate)
-        upper = independence_upper_bound(g)
+        upper, _ = independence_upper_bound(g)
         if not genus_bound_is_loose(g):
             upper = min(upper, genus_upper_bound(g))
         for lower in _applicable_lower_bounds(g):

@@ -32,7 +32,7 @@ def test_cheeger_grid_bound_pappus(pappus):
 def test_cheeger_grid_bound_pappus_row_values(pappus):
     # at u = 6/18 with h_u = 1: min{18/4, (7/9)*6} = 9/2
     profile = cheeger_profile(pappus)
-    p = profile.point(6)
+    p = profile.points[6 - 1]
     transform = p.value / (3 + p.value) * 18
     assert transform == Fraction(9, 2)
     assert profile.h * 6 == Fraction(14, 3)
@@ -46,7 +46,7 @@ def test_cheeger_grid_bound_k4():
     # grid point j=2: min{(2/5)*4, 2*2} = 8/5; j=1: min{3/6*4, 2} = 2
     assert value == Fraction(2)
     assert u == Fraction(1, 4)
-    p2 = profile.point(2)  # K4 is 3-regular: transform = 2/(3+2)*4
+    p2 = profile.points[2 - 1]  # K4 is 3-regular: transform = 2/(3+2)*4
     assert min(p2.value / (3 + p2.value) * 4, profile.h * 2) == Fraction(8, 5)
 
 

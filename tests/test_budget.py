@@ -1,10 +1,13 @@
-"""Budget conformance: every engine given a deadline stops near it.
+"""Budget conformance: every engine given a deadline stops near it, and a
+cap or deadline of 0 stops it at its first step.
 
-Each input needs well over three times the deadline without a budget
-(2-core x86-64, Python 3.11: K20 Cheeger scan 2.8 s, separator 2.5 s,
-independent set on cycle:120 over 55 s, gonality search 2.6 s).  A call
-must come back within the deadline plus one second, either flagged as
-incomplete or by raising BudgetExceededError.
+Each deadline input needs well over three times the deadline without a
+budget (2-core x86-64, Python 3.11: K20 Cheeger scan 2.8 s, separator
+2.5 s, independent set on cycle:120 over 55 s, gonality search 2.6 s,
+cycle:300 gonality search 5.0 s, of which its first degree-2 candidate
+alone takes about 2.5 s, rank test on path:400 4.8 s).  A call must come
+back within the deadline plus one second, either flagged as incomplete or
+by raising BudgetExceededError.
 """
 
 import time
@@ -14,10 +17,12 @@ import pytest
 
 from conftest import complete_graph
 from gonlab.budget import BudgetExceededError, SearchBudget
+from gonlab.divisor import parse_divisor
 from gonlab.expansion import b_u, cheeger_profile
 from gonlab.gonality import GonalityBracket, exact_gonality, max_independent_set
 from gonlab.graph import named_graph
 from gonlab.randgraph import ConfigModelParams, sample_configuration
+from gonlab.reduction import find_rank_obstruction
 
 DEADLINE_S = 0.3
 SLACK_S = 1.0
@@ -29,10 +34,19 @@ def _quartic(n: int):
     return g
 
 
+def _rank_test(spec: str, divisor: str, budget: SearchBudget):
+    g = named_graph(spec)
+    return find_rank_obstruction(parse_divisor(divisor, g), 1, budget)
+
+
+def _never_partial(result) -> bool:
+    return False  # only a raise counts as stopping
+
+
 ENGINES = {
     "cheeger_profile": (
         lambda budget: cheeger_profile(complete_graph(20), budget),
-        lambda result: False,  # an exact profile never returns partial
+        _never_partial,  # an exact profile never returns partial
     ),
     "b_u": (
         lambda budget: b_u(_quartic(24), Fraction(7, 24), budget),
@@ -46,17 +60,63 @@ ENGINES = {
         lambda budget: exact_gonality(_quartic(16), budget),
         lambda result: isinstance(result, GonalityBracket),
     ),
+    "exact_gonality_long_cycle": (
+        lambda budget: exact_gonality(named_graph("cycle:300"), budget),
+        lambda result: isinstance(result, GonalityBracket),
+    ),
+    "find_rank_obstruction": (
+        lambda budget: _rank_test("path:400", "0:1", budget),
+        _never_partial,
+    ),
 }
+
+
+def _stops(run, flagged, budget: SearchBudget, limit_s: float) -> None:
+    start = time.monotonic()
+    try:
+        result = run(budget)
+    except BudgetExceededError:
+        result = None
+    elapsed = time.monotonic() - start
+    assert elapsed < limit_s, f"took {elapsed:.2f} s"
+    assert result is None or flagged(result)
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_engine_honours_deadline(engine):
     run, flagged = ENGINES[engine]
-    start = time.monotonic()
-    try:
-        result = run(SearchBudget.with_seconds(DEADLINE_S))
-    except BudgetExceededError:
-        result = None
-    elapsed = time.monotonic() - start
-    assert elapsed < DEADLINE_S + SLACK_S, f"{engine} took {elapsed:.2f} s"
-    assert result is None or flagged(result)
+    _stops(run, flagged, SearchBudget.with_seconds(DEADLINE_S), DEADLINE_S + SLACK_S)
+
+
+# tiny inputs: each finishes in milliseconds when no budget stops it
+ZERO_CAP_ENGINES = {
+    "cheeger_profile": (lambda budget: cheeger_profile(named_graph("k4"), budget), _never_partial),
+    "b_u": (
+        lambda budget: b_u(named_graph("cycle:8"), Fraction(1, 4), budget),
+        lambda cert: not cert.optimal,
+    ),
+    "max_independent_set": (
+        lambda budget: max_independent_set(named_graph("cycle:8"), budget),
+        lambda result: not result[1],
+    ),
+    "exact_gonality": (
+        lambda budget: exact_gonality(named_graph("cycle:8"), budget),
+        lambda result: isinstance(result, GonalityBracket),
+    ),
+    "find_rank_obstruction": (
+        lambda budget: _rank_test("cycle:8", "0:2", budget),
+        _never_partial,
+    ),
+}
+NODE_CAPPED = ("cheeger_profile", "b_u", "max_independent_set")
+
+
+@pytest.mark.parametrize(
+    "engine, cap",
+    [(engine, "seconds") for engine in sorted(ZERO_CAP_ENGINES)]
+    + [(engine, "nodes") for engine in NODE_CAPPED],
+)
+def test_zero_cap_stops_at_first_step(engine, cap):
+    run, flagged = ZERO_CAP_ENGINES[engine]
+    budget = SearchBudget.with_seconds(0) if cap == "seconds" else SearchBudget(max_nodes=0)
+    _stops(run, flagged, budget, SLACK_S)

@@ -40,15 +40,15 @@ def test_cheeger_profile_k4():
     profile = cheeger_profile(named_graph("k4"))
     assert profile.exact
     assert profile.h == 2
-    assert profile.point(1).value == 3
-    assert profile.point(2).value == 2
+    assert profile.points[1 - 1].value == 3
+    assert profile.points[2 - 1].value == 2
 
 
 def test_cheeger_profile_c6():
     profile = cheeger_profile(named_graph("cycle:6"))
     assert profile.h == Fraction(2, 3)
     # witness: three consecutive vertices
-    w = profile.point(3).witness
+    w = profile.points[3 - 1].witness
     assert len(w) == 3
     assert edge_boundary(named_graph("cycle:6"), w) == 2
 
@@ -56,7 +56,7 @@ def test_cheeger_profile_c6():
 def test_pappus_half_witness(pappus):
     """The witness achieving h(pappus) = 7/9 is a 9-set with boundary 7."""
     profile = cheeger_profile(pappus)
-    witness = profile.point(9).witness
+    witness = profile.points[9 - 1].witness
     assert len(witness) == 9
     assert edge_boundary(pappus, witness) == 7
 

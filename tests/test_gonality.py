@@ -96,21 +96,21 @@ def test_genus_bound_loose_for_cycles():
 
 def test_independence_bound_complete_graph():
     k5 = complete_graph(5)
-    assert independence_upper_bound(k5) == 4
+    assert independence_upper_bound(k5) == (4, True)
 
 
 def test_independence_bound_pappus(pappus):
     indep, exact = max_independent_set(pappus)
     assert exact
     assert len(indep) == 9
-    assert independence_upper_bound(pappus) == 9
+    assert independence_upper_bound(pappus) == (9, True)
 
 
 def test_bipartite_cubic_bound_is_genus_minus_one(pappus):
     # for bipartite 3-regular graphs: n - alpha = genus - 1
     from gonlab.graph import genus
 
-    assert independence_upper_bound(pappus) == genus(pappus) - 1
+    assert independence_upper_bound(pappus) == (genus(pappus) - 1, True)
 
 
 def test_greedy_independent_set_is_independent(corpus):
@@ -162,7 +162,7 @@ def test_complement_divisor_weighted_for_parallel_edges():
     weighted = complement_divisor(g, indep)
     assert weighted.chips == (0, 0, 2, 2)
     assert has_positive_rank(weighted)
-    assert exact_gonality(g).value <= independence_upper_bound(g)
+    assert exact_gonality(g).value <= independence_upper_bound(g)[0]
 
 
 def test_banana_graph_bounds():
@@ -170,7 +170,7 @@ def test_banana_graph_bounds():
     n - alpha = 1 would be wrong; the weighted bound stays valid."""
     banana = Multigraph.from_edges(2, [(0, 1)] * 4)
     assert exact_gonality(banana).value == 2
-    assert independence_upper_bound(banana) == 4
+    assert independence_upper_bound(banana) == (4, True)
     assert genus_upper_bound(banana) == 3
 
 
@@ -178,7 +178,7 @@ def test_single_vertex_graph():
     g = named_graph("path:1")
     result = exact_gonality(g)
     assert result.value == 1
-    assert independence_upper_bound(g) == 1
+    assert independence_upper_bound(g) == (1, True)
 
 
 def test_sandwich_on_certificates(corpus):
@@ -186,7 +186,7 @@ def test_sandwich_on_certificates(corpus):
     for g in corpus[:25]:
         result = exact_gonality(g)
         assert isinstance(result, GonalityCertificate)
-        upper = independence_upper_bound(g)
+        upper, _ = independence_upper_bound(g)
         if not genus_bound_is_loose(g):
             upper = min(upper, genus_upper_bound(g))
         assert 1 <= result.value <= upper

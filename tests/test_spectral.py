@@ -23,7 +23,7 @@ def test_lambda2_against_numpy(corpus):
         m = -laplacian(g).astype(float)
         s = algebraic_connectivity(g)
         assert abs(s.lambda2 - np.linalg.eigvalsh(m)[1]) <= 1e-9
-        assert s.error_bound <= 1e-9  # the default tol, met for n <= 100
+        assert s.error_bound <= 1e-9  # spectral.TOL, met for n <= 100
         x = np.array(s.fiedler_vector)
         assert np.linalg.norm(m @ x - s.lambda2 * x) <= 1e-8
         assert abs(x.sum()) <= 1e-9
