@@ -3,9 +3,9 @@
 An effective divisor of degree d on n vertices is a composition of d into n
 non-negative parts.  The enumeration order is ascending colex (vectors
 compare at the last differing coordinate), so chips pile onto low-index
-vertices first: (d,0,...,0) is rank 0.  Rank-window slicing lets degree
-levels be partitioned statically across worker processes with a
-deterministic global order.
+vertices first: (d,0,...,0) is rank 0.  Rank tests enumerate their
+subtrahend divisors in this order; the gonality search generates the
+0-reduced subsequence of it directly (`reduction._reduced_divisors`).
 """
 
 from __future__ import annotations

@@ -1,23 +1,36 @@
 """Exact gonality certificates and the two cheap upper bounds.
 
 The search ascends through divisor degrees, exhaustively refuting positive
-rank below the answer.  Candidates are enumerated in ascending colex order
-(no per-vertex chip caps: correctness over speed, blowup is handled by the
-budget).  The search never needs to pass the smaller of the genus bound
-and the independence bound, because a positive-rank witness of that degree
-is guaranteed to exist.
+rank below the answer.  A degree level holds a positive-rank divisor iff
+it holds a 0-reduced one with a chip on vertex 0 (the 0-reduced form of a
+positive-rank divisor is one), so only those candidates are generated, in
+ascending colex order, by Dhar's burning algorithm.  The search never
+needs to pass the smaller of the genus bound and the independence bound,
+because a positive-rank witness of that degree is guaranteed to exist.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import islice
+from multiprocessing import get_context
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
-from gonlab.compositions import compositions_colex_slice, count_compositions
+from gonlab.compositions import count_compositions
 from gonlab.divisor import Divisor
 from gonlab.graph import Multigraph, genus
-from gonlab.reduction import _positive_rank_obstruction, has_positive_rank
+from gonlab.reduction import (
+    _positive_rank,
+    _positive_rank_obstruction,
+    _reduced_divisors,
+    _vertex_order,
+)
+
+POOL_MIN_LEVEL = 4096  # compositions in a level before it is worth a process pool
+CHUNK = 512  # candidates per task sent to the pool
 
 
 @dataclass(frozen=True)
@@ -45,37 +58,37 @@ class GonalityBracket:
     reason: str
 
 
-def _search_slice(g: Multigraph, degree: int, start: int, stop: int, budget: SearchBudget):
-    """First positive-rank candidate in a colex rank window, as (rank, chips).
-
-    Slices are colex-contiguous, so the first hit inside a slice is the
-    slice minimum and slices can be searched independently.
-    """
-    tick = budget.meter("gonality search").tick
-    for i, cand in enumerate(compositions_colex_slice(degree, g.n, start, stop)):
-        if _positive_rank_obstruction(g, list(cand), tick) is None:
-            return (start + i, cand)
+def _first_positive(g: Multigraph, candidates, order, tick):
+    """First candidate with positive rank, or None.  Also the pool's task,
+    where `tick` arrives as a pickled copy of the level's meter."""
+    for chips in candidates:
+        if _positive_rank_obstruction(g, chips, order, tick) is None:
+            return chips
     return None
 
 
-def _search_level(g: Multigraph, degree: int, budget: SearchBudget, threads: int):
-    """Colex-least positive-rank divisor of the given degree, or None."""
-    total = count_compositions(degree, g.n)
-    if threads <= 1 or total < 4096:
-        hit = _search_slice(g, degree, 0, total, budget)
-        return None if hit is None else hit[1]
-    cuts = [total * i // threads for i in range(threads + 1)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_search_slice, g, degree, cuts[i], cuts[i + 1], budget)
-            for i in range(threads)
-            if cuts[i] < cuts[i + 1]
-        ]
-        hits = [f.result() for f in futures]
-    hits = [h for h in hits if h is not None]
-    if not hits:
-        return None
-    return min(hits)[1]  # lowest colex rank wins, regardless of finish order
+def _search_level(g: Multigraph, degree: int, order, budget: SearchBudget, pool, threads: int):
+    """Colex-least 0-reduced positive-rank divisor of the given degree with
+    a chip on vertex 0, as chips, or None.
+
+    With a pool, candidates go out in ordered chunks, at most two per
+    worker in flight, and results are read back in chunk order: the first
+    hit is the colex-least one, whatever the worker count.  A hit ends the
+    search, and the pool's shutdown cancels the chunks still queued.
+    """
+    tick = budget.meter("gonality search").tick
+    candidates = _reduced_divisors(g, degree, tick)
+    if pool is None:
+        return _first_positive(g, candidates, order, tick)
+    pending = deque()
+    while True:
+        while len(pending) < 2 * threads and (chunk := list(islice(candidates, CHUNK))):
+            pending.append(pool.submit(_first_positive, g, chunk, order, tick))
+        if not pending:
+            return None
+        hit = pending.popleft().result()
+        if hit is not None:
+            return hit
 
 
 def exact_gonality(
@@ -89,8 +102,10 @@ def exact_gonality(
 
     Returns a certificate when the ascending search completes, or a bracket
     when the candidate budget, time budget or `max_degree` cap stops it
-    first.  The reported witness is the colex-least one at the answer
-    degree, independent of the worker count.
+    first.  The reported witness is the colex-least 0-reduced divisor with
+    a chip on vertex 0 at the answer degree, independent of the worker
+    count.  With threads > 1, one process pool serves every level large
+    enough to use it.
 
     `upper` is a precomputed gonality upper bound (a bound report's
     `upper`); when None, the genus bound and the complement of a greedy
@@ -104,41 +119,54 @@ def exact_gonality(
         if genus(g) != 1:
             upper = min(upper, genus_upper_bound(g))
     limit = upper if max_degree is None else min(upper, max_degree)
+
+    def stopped(degree: int, reason: str) -> GonalityBracket:
+        return GonalityBracket(
+            lower=degree, upper=upper, cleared_degree=degree - 1, reason=reason
+        )
+
+    order = _vertex_order(g)
     tested = 0
-    for degree in range(1, limit + 1):
-        level_size = count_compositions(degree, g.n)
-        if tested + level_size > budget.max_candidates:
-            return GonalityBracket(
-                lower=degree,
-                upper=upper,
-                cleared_degree=degree - 1,
-                reason=f"degree-{degree} level needs {level_size} candidates, "
-                f"{budget.max_candidates - tested} left in budget",
-            )
-        try:
-            witness_chips = _search_level(g, degree, budget, threads)
-        except BudgetExceededError as exc:
-            return GonalityBracket(
-                lower=degree,
-                upper=upper,
-                cleared_degree=degree - 1,
-                reason=f"time budget exhausted inside the degree-{degree} level: {exc}",
-            )
-        tested += level_size
-        if witness_chips is not None:
-            witness = Divisor(g, witness_chips)
-            if not has_positive_rank(witness):  # emission re-check
+    with ExitStack() as stack:
+        pool = None
+        for degree in range(1, limit + 1):
+            level_size = count_compositions(degree, g.n)
+            if tested + level_size > budget.max_candidates:
+                return stopped(
+                    degree,
+                    f"degree-{degree} level needs {level_size} candidates, "
+                    f"{budget.max_candidates - tested} left in budget",
+                )
+            if pool is None and threads > 1 and level_size >= POOL_MIN_LEVEL:
+                pool = ProcessPoolExecutor(max_workers=threads, mp_context=get_context("spawn"))
+                stack.callback(pool.shutdown, cancel_futures=True)
+            try:
+                witness_chips = _search_level(g, degree, order, budget, pool, threads)
+            except BudgetExceededError as exc:
+                return stopped(
+                    degree, f"time budget exhausted inside the degree-{degree} level: {exc}"
+                )
+            tested += level_size
+            if witness_chips is None:
+                continue
+            try:
+                valid = _positive_rank(g, witness_chips, budget.meter("emission re-check").tick)
+            except BudgetExceededError as exc:
+                return stopped(
+                    degree,
+                    f"time budget exhausted in the emission re-check of the "
+                    f"degree-{degree} witness: {exc}",
+                )
+            if not valid:
                 raise AssertionError("search returned an invalid witness")
             return GonalityCertificate(
-                value=degree, witness=witness, exhaustive=True, cleared_degree=degree - 1
+                value=degree,
+                witness=Divisor(g, witness_chips),
+                exhaustive=True,
+                cleared_degree=degree - 1,
             )
     # only reachable when max_degree capped the search below the upper bound
-    return GonalityBracket(
-        lower=limit + 1,
-        upper=upper,
-        cleared_degree=limit,
-        reason=f"search capped at degree {limit}",
-    )
+    return stopped(limit + 1, f"search capped at degree {limit}")
 
 
 def genus_upper_bound(g: Multigraph) -> int:

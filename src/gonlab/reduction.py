@@ -12,6 +12,10 @@ decreasing distance from v drops lexicographically in a well-founded
 order.  The unburnt set may be fired several times at once when chips
 allow; every intermediate state stays effective away from v, and reduced
 forms are unique, so batching cannot change the result.
+
+The gonality search needs only the 0-reduced effective divisors with a
+chip on vertex 0: `_reduced_divisors` generates them by burning, and
+`_positive_rank_obstruction` tests them at every other vertex.
 """
 
 from __future__ import annotations
@@ -48,11 +52,11 @@ def _burn_pass(adj, chips, v):
     burnt[v] = True
     stack = [v]
     while stack:
-        x = stack.pop()
-        for w, mult in adj[x]:
+        for w, mult in adj[stack.pop()]:
             if not burnt[w]:
-                counts[w] += mult
-                if counts[w] > chips[w]:
+                heat = counts[w] + mult
+                counts[w] = heat
+                if heat > chips[w]:
                     burnt[w] = True
                     stack.append(w)
     return burnt, counts
@@ -80,33 +84,34 @@ def _make_effective_away(g: Multigraph, chips: list[int], v: int) -> None:
     times (each firing sends every layer-t vertex at least one chip along
     its edges from layer t-1).  Firing that ball only crosses the
     (t-1)/t cut, so later stages never disturb layers already repaired.
+    Each layer is visited once and each edge at most twice: O(m) in all.
     """
     dist = _bfs_dist(g, v)
     if min(dist) < 0:
         raise ValueError("graph must be connected for v-reduction")
-    for t in range(max(dist), 0, -1):
-        layer = [w for w in range(g.n) if dist[w] == t]
-        times = 0
+    layers: list[list[int]] = [[] for _ in range(max(dist) + 1)]
+    for w in range(g.n):
+        layers[dist[w]].append(w)
+    for t in range(len(layers) - 1, 0, -1):
         gain = {}
-        for w in layer:
+        times = 0
+        for w in layers[t]:
             into_prev = sum(mult for x, mult in g.neighbors(w) if dist[x] == t - 1)
             gain[w] = into_prev
             if chips[w] < 0:
                 times = max(times, (-chips[w] + into_prev - 1) // into_prev)
         if times == 0:
             continue
-        for w in layer:
+        for w in layers[t]:
             chips[w] += times * gain[w]
-        for x in range(g.n):
-            if dist[x] == t - 1:
-                chips[x] -= times * sum(
-                    mult for w, mult in g.neighbors(x) if dist[w] == t
-                )
+            for x, mult in g.neighbors(w):
+                if dist[x] == t - 1:
+                    chips[x] -= times * mult
 
 
 def _reduce_chips(g: Multigraph, chips: list[int], v: int) -> list[int]:
     """In-place v-reduction of a chip list; assumes a connected graph."""
-    if any(c < 0 for i, c in enumerate(chips) if i != v):
+    if min(chips) < 0 and any(c < 0 for i, c in enumerate(chips) if i != v):
         _make_effective_away(g, chips, v)
     adj = g._adj
     n = g.n
@@ -158,40 +163,80 @@ def v_reduce(d: Divisor, v: int) -> Divisor:
     return Divisor(g, tuple(_reduce_chips(g, list(d.chips), v)))
 
 
-def _support_distance_order(g: Multigraph, chips) -> list[int]:
-    """Vertices sorted by decreasing distance from the chip support.
+def _reduced_divisors(g: Multigraph, degree: int, tick=lambda: None):
+    """Yield the 0-reduced effective divisors of `degree` with a chip on
+    vertex 0, as chip tuples in ascending colex order.
 
-    Positive-rank failures concentrate far from the chips, so checking the
+    Their restrictions to V minus {0} are the superstable configurations
+    (those that burn completely from 0) of degree below `degree`; vertex 0
+    takes the rest.  Superstables are closed downward, so the colex
+    successor of c is c with one more chip on the lowest vertex k >= 1
+    where that, with every vertex below k emptied, still burns completely.
+    Each try is one burning pass and one `tick`.  Starting from the empty
+    configuration this visits exactly the superstables, without recursion.
+    """
+    if degree < 1:
+        return
+    adj = g._adj
+    chips = [0] * g.n
+    spare = degree - 1  # chips not yet placed on V minus {0}
+    while True:
+        chips[0] = spare + 1
+        yield tuple(chips)
+        k = 1
+        while True:
+            if k == g.n:
+                return
+            if spare:
+                chips[k] += 1
+                tick()
+                if all(_burn_pass(adj, chips, 0)[0]):
+                    spare -= 1
+                    break
+                chips[k] -= 1
+            spare += chips[k]
+            chips[k] = 0
+            k += 1
+
+
+def _vertex_order(g: Multigraph) -> list[int]:
+    """Vertices other than 0 by decreasing distance from 0, ties by index.
+
+    Candidates of the gonality search hold their chips near vertex 0, so
+    positive-rank failures concentrate far from it and checking the
     farthest vertices first makes refutations cheap.  The result of the
     conjunction does not depend on the order.
     """
-    sources = [i for i, c in enumerate(chips) if c > 0]
-    if not sources:
-        return list(range(g.n))
-    dist = [-1] * g.n
-    queue = deque(sources)
-    for s in sources:
-        dist[s] = 0
-    while queue:
-        x = queue.popleft()
-        for w, _ in g.neighbors(x):
-            if dist[w] < 0:
-                dist[w] = dist[x] + 1
-                queue.append(w)
-    return sorted(range(g.n), key=lambda w: (-dist[w], w))
+    dist = _bfs_dist(g, 0)
+    return sorted(range(1, g.n), key=lambda w: (-dist[w], w))
 
 
-def _positive_rank_obstruction(g: Multigraph, chips: list[int], tick=lambda: None) -> int | None:
-    """First vertex whose reduced form holds no chip, or None if rank >= 1.
+def _positive_rank_obstruction(g: Multigraph, chips, order, tick) -> int | None:
+    """First vertex of `order` whose reduced form holds no chip, or None.
 
-    `chips` must be effective on a connected graph.  `tick` is called
-    before each reduction, so a budget meter can stop a slow test part way.
+    `chips` must be a 0-reduced effective divisor with a chip on vertex 0
+    on a connected graph, so vertex 0 passes and `order` (from
+    `_vertex_order`) lists the others.  `tick` is called before each
+    reduction, so a budget meter can stop a slow test part way.
     """
-    for v in _support_distance_order(g, chips):
+    for v in order:
+        if chips[v]:
+            continue  # v passes: its v-reduced form holds at least chips[v]
         tick()
         if _reduce_chips(g, list(chips), v)[v] < 1:
             return v
     return None
+
+
+def _positive_rank(g: Multigraph, chips, tick=lambda: None) -> bool:
+    """Reduced-divisor test of rank >= 1 on a connected graph, with each
+    reduction counted by `tick`: the 0-reduced form needs a chip on 0, and
+    its v-reduced forms a chip on v for every other v."""
+    tick()
+    reduced = _reduce_chips(g, list(chips), 0)
+    if reduced[0] < 1:
+        return False
+    return _positive_rank_obstruction(g, reduced, _vertex_order(g), tick) is None
 
 
 def has_positive_rank(d: Divisor) -> bool:
@@ -199,20 +244,14 @@ def has_positive_rank(d: Divisor) -> bool:
 
     Implements the reduced-divisor criterion: d has positive rank iff for
     every vertex v the v-reduced representative has at least one chip at v.
-    Divisors of negative degree are never of positive rank; non-effective
-    inputs are reduced first and rejected if their class is not effective.
+    Divisors of degree below 1 are never of positive rank; non-effective
+    inputs are handled by their 0-reduced form, which is effective exactly
+    when their class is.
     """
     g = d.graph
     if not g.is_connected():
         raise ValueError("positive rank test requires a connected graph")
-    if d.degree() < 0:
-        return False
-    chips = list(d.chips)
-    if any(c < 0 for c in chips):
-        chips = _reduce_chips(g, chips, 0)
-        if chips[0] < 0:
-            return False
-    return _positive_rank_obstruction(g, chips) is None
+    return d.degree() >= 1 and _positive_rank(g, d.chips)
 
 
 def find_rank_obstruction(

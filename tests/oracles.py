@@ -4,6 +4,8 @@ Everything here recomputes quantities from first definitions, avoiding the
 production code paths it is used to check: linear equivalence through
 Smith-normal-form lattice membership (not reduced forms), rank through
 exhaustive enumeration of equivalent effective divisors (not burning),
+reducedness through a burning loop written from the definition (not
+`gonlab.reduction`),
 expansion constants through all-subsets scans (not connected-only
 pruning), separators through subsets-by-increasing-size, and the
 algebraic connectivity through exact definiteness tests (not eigensolvers).
@@ -146,6 +148,34 @@ def brute_gonality(g: Multigraph) -> int:
             if brute_positive_rank(g, chips, oracle):
                 return d
         d += 1
+
+
+def burns_from(g: Multigraph, chips, v: int) -> bool:
+    """Dhar's burning by definition: a fire starts at v, and a vertex
+    catches once its edges into the burnt set outnumber its chips.  True
+    when every vertex burns."""
+    burnt = {v}
+    changed = True
+    while changed:
+        changed = False
+        for w in range(g.n):
+            if w in burnt:
+                continue
+            if sum(m for x, m in g.neighbors(w) if x in burnt) > chips[w]:
+                burnt.add(w)
+                changed = True
+    return len(burnt) == g.n
+
+
+def brute_reduced_witness(g: Multigraph, degree: int):
+    """The colex-least effective divisor of `degree` with a chip on vertex
+    0 that burns completely from 0 and has positive rank by definition, as
+    a chip tuple; None if there is none."""
+    oracle = LatticeOracle(g)
+    for chips in sorted(all_effective(g.n, degree), key=lambda c: c[::-1]):  # colex
+        if chips[0] >= 1 and burns_from(g, chips, 0) and brute_positive_rank(g, chips, oracle):
+            return chips
+    return None
 
 
 def brute_boundary(g: Multigraph, subset) -> int:

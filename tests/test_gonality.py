@@ -1,8 +1,12 @@
+import json
 import time
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from conftest import complete_graph
+from gonlab import gonality
 from gonlab.budget import SearchBudget
 from gonlab.divisor import Divisor
 from gonlab.gonality import (
@@ -18,7 +22,9 @@ from gonlab.gonality import (
 )
 from gonlab.graph import Multigraph, named_graph
 from gonlab.reduction import has_positive_rank
-from oracles import brute_gonality
+from oracles import brute_gonality, brute_reduced_witness
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("name", ["path:3", "path:5", "path:7"])
@@ -63,6 +69,54 @@ def test_parallel_search_matches_serial():
     serial = exact_gonality(g, threads=1)
     parallel = exact_gonality(g, threads=4)
     assert serial == parallel
+
+
+def test_pool_search_matches_serial(pappus, monkeypatch):
+    """Pappus levels 4 to 6 are large enough for the pool, which is opened
+    once for the whole call and gives the serial certificate."""
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(gonality, "ProcessPoolExecutor", CountingPool)
+    serial = exact_gonality(pappus, threads=1)
+    assert pools == []
+    assert exact_gonality(pappus, threads=2) == serial
+    assert pools == [2]
+
+
+def test_corpus_gonality_matches_fixture(corpus):
+    """The 200 corpus values, captured from the exhaustive-composition
+    search before the candidates were restricted to 0-reduced divisors."""
+    expected = json.loads((GOLDEN_DIR / "corpus_gonality.json").read_text())
+    assert [exact_gonality(g).value for g in corpus] == expected
+
+
+def test_witness_is_colex_least_reduced_divisor(corpus):
+    small = [g for g in corpus if g.n <= 6]
+    assert small
+    for g in small:
+        result = exact_gonality(g)
+        assert result.witness.chips == brute_reduced_witness(g, result.value)
+
+
+def test_pappus_rank_tests_count(pappus, monkeypatch):
+    """Every 0-reduced divisor with a chip on vertex 0 of degree 1 to 5,
+    and those of degree 6 up to the witness, is rank-tested once."""
+    calls = []
+    test = gonality._positive_rank_obstruction
+
+    def counted(*args):
+        calls.append(1)
+        return test(*args)
+
+    monkeypatch.setattr(gonality, "_positive_rank_obstruction", counted)
+    result = exact_gonality(pappus)
+    assert (result.value, result.witness.chips) == (6, (6,) + (0,) * 17)
+    assert len(calls) == 6947
 
 
 def test_budget_exhaustion_returns_bracket(pappus):

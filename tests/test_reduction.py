@@ -4,16 +4,18 @@ import pytest
 
 from conftest import complete_graph
 from gonlab.budget import BudgetExceededError, SearchBudget
+from gonlab.compositions import compositions_colex
 from gonlab.divisor import Divisor, fire_set, is_equivalent, parse_divisor
 from gonlab.graph import Multigraph, named_graph
 from gonlab.reduction import (
+    _reduced_divisors,
     dhar_burn,
     find_rank_obstruction,
     has_positive_rank,
     rank_at_least,
     v_reduce,
 )
-from oracles import LatticeOracle, brute_positive_rank, brute_rank_at_least
+from oracles import LatticeOracle, brute_positive_rank, brute_rank_at_least, burns_from
 
 
 def test_burn_zero_divisor_fully_burns():
@@ -90,6 +92,33 @@ def test_v_reduce_preserves_class_and_degree(corpus):
             assert reduced.degree() == sum(chips)
             assert oracle.equivalent(chips, reduced.chips)
             assert is_equivalent(Divisor(g, chips), reduced)
+
+
+def test_v_reduce_repairs_deficits(corpus):
+    """From a divisor with deficits away from v, the result is effective
+    away from v, burns completely from v and stays in the class."""
+    rng = random.Random(29)
+    for g in corpus[::5]:
+        oracle = LatticeOracle(g)
+        for _ in range(3):
+            v = rng.randrange(g.n)
+            chips = [rng.randint(-4, 3) for _ in range(g.n)]
+            chips[(v + 1) % g.n] = -rng.randint(1, 4)
+            reduced = v_reduce(Divisor(g, tuple(chips)), v).chips
+            assert all(c >= 0 for w, c in enumerate(reduced) if w != v)
+            assert burns_from(g, reduced, v)
+            assert oracle.equivalent(chips, reduced)
+
+
+def test_reduced_divisors_are_the_reduced_part_of_colex(corpus):
+    """The gonality candidates are exactly the compositions with a chip on
+    vertex 0 that burn completely from 0, in the same colex order."""
+    for g in [g for g in corpus if g.n <= 7]:
+        for degree in range(1, 6):
+            expected = [
+                c for c in compositions_colex(degree, g.n) if c[0] >= 1 and burns_from(g, c, 0)
+            ]
+            assert list(_reduced_divisors(g, degree)) == expected
 
 
 def test_v_reduce_is_canonical_form(corpus):
