@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice
-from multiprocessing import get_context
+from itertools import chain, islice
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
 from gonlab.compositions import count_compositions
@@ -29,7 +28,10 @@ from gonlab.reduction import (
     _vertex_order,
 )
 
-POOL_MIN_LEVEL = 4096  # compositions in a level before it is worth a process pool
+# Candidates a level tests serially before it uses the pool.  Candidates
+# are generated in the calling process, so a pool pays off only on long
+# levels: at 8,192 it never starts on Pappus, whose levels are shorter.
+POOL_AFTER = 8192
 CHUNK = 512  # candidates per task sent to the pool
 
 
@@ -71,24 +73,30 @@ def _search_level(g: Multigraph, degree: int, order, budget: SearchBudget, pool,
     """Colex-least 0-reduced positive-rank divisor of the given degree with
     a chip on vertex 0, as chips, or None.
 
-    With a pool, candidates go out in ordered chunks, at most two per
-    worker in flight, and results are read back in chunk order: the first
-    hit is the colex-least one, whatever the worker count.  A hit ends the
-    search, and the pool's shutdown cancels the chunks still queued.
+    The first POOL_AFTER candidates are tested here.  With a pool, the rest
+    go out in ordered chunks, at most two per worker in flight, and results
+    are read back in chunk order: the first hit is the colex-least one,
+    whatever the worker count.  A hit cancels the chunks still queued.
     """
     tick = budget.meter("gonality search").tick
     candidates = _reduced_divisors(g, degree, tick)
-    if pool is None:
-        return _first_positive(g, candidates, order, tick)
+    hit = _first_positive(g, islice(candidates, POOL_AFTER if pool else None), order, tick)
+    if hit is not None or (first := next(candidates, None)) is None:
+        return hit
+    candidates = chain([first], candidates)
     pending = deque()
-    while True:
-        while len(pending) < 2 * threads and (chunk := list(islice(candidates, CHUNK))):
-            pending.append(pool.submit(_first_positive, g, chunk, order, tick))
-        if not pending:
-            return None
-        hit = pending.popleft().result()
-        if hit is not None:
-            return hit
+    try:
+        while True:
+            while len(pending) < 2 * threads and (chunk := list(islice(candidates, CHUNK))):
+                pending.append(pool.submit(_first_positive, g, chunk, order, tick))
+            if not pending:
+                return None
+            hit = pending.popleft().result()
+            if hit is not None:
+                return hit
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def exact_gonality(
@@ -104,8 +112,8 @@ def exact_gonality(
     when the candidate budget, time budget or `max_degree` cap stops it
     first.  The reported witness is the colex-least 0-reduced divisor with
     a chip on vertex 0 at the answer degree, independent of the worker
-    count.  With threads > 1, one process pool serves every level large
-    enough to use it.
+    count.  With threads > 1, one process pool rank-tests what each level
+    holds past its first POOL_AFTER candidates.
 
     `upper` is a precomputed gonality upper bound (a bound report's
     `upper`); when None, the genus bound and the complement of a greedy
@@ -127,8 +135,8 @@ def exact_gonality(
 
     order = _vertex_order(g)
     tested = 0
-    with ExitStack() as stack:
-        pool = None
+    # an executor starts no worker before its first task
+    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         for degree in range(1, limit + 1):
             level_size = count_compositions(degree, g.n)
             if tested + level_size > budget.max_candidates:
@@ -137,9 +145,6 @@ def exact_gonality(
                     f"degree-{degree} level needs {level_size} candidates, "
                     f"{budget.max_candidates - tested} left in budget",
                 )
-            if pool is None and threads > 1 and level_size >= POOL_MIN_LEVEL:
-                pool = ProcessPoolExecutor(max_workers=threads, mp_context=get_context("spawn"))
-                stack.callback(pool.shutdown, cancel_futures=True)
             try:
                 witness_chips = _search_level(g, degree, order, budget, pool, threads)
             except BudgetExceededError as exc:

@@ -111,7 +111,7 @@ def _make_effective_away(g: Multigraph, chips: list[int], v: int) -> None:
 
 def _reduce_chips(g: Multigraph, chips: list[int], v: int) -> list[int]:
     """In-place v-reduction of a chip list; assumes a connected graph."""
-    if min(chips) < 0 and any(c < 0 for i, c in enumerate(chips) if i != v):
+    if any(c < 0 for i, c in enumerate(chips) if i != v):
         _make_effective_away(g, chips, v)
     adj = g._adj
     n = g.n

@@ -72,20 +72,29 @@ def test_parallel_search_matches_serial():
 
 
 def test_pool_search_matches_serial(pappus, monkeypatch):
-    """Pappus levels 4 to 6 are large enough for the pool, which is opened
-    once for the whole call and gives the serial certificate."""
-    pools = []
+    """With the serial prefix cut to one chunk, Pappus levels 4 and 5 send
+    candidates to the pool, which is opened once for the whole call and
+    gives the serial certificate."""
+    pools, tasks = [], []
 
     class CountingPool(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
+        def submit(self, *args, **kwargs):
+            tasks.append(len(args[2]))
+            return super().submit(*args, **kwargs)
+
     monkeypatch.setattr(gonality, "ProcessPoolExecutor", CountingPool)
     serial = exact_gonality(pappus, threads=1)
-    assert pools == []
+    assert pools == [] and tasks == []
     assert exact_gonality(pappus, threads=2) == serial
-    assert pools == [2]
+    assert pools == [2] and tasks == []  # no Pappus level outlasts POOL_AFTER
+    monkeypatch.setattr(gonality, "POOL_AFTER", gonality.CHUNK)
+    assert exact_gonality(pappus, threads=2) == serial
+    assert pools == [2, 2]
+    assert sum(tasks) == 1122 + 5634 - 2 * gonality.CHUNK  # levels 4 and 5
 
 
 def test_corpus_gonality_matches_fixture(corpus):
