@@ -109,10 +109,6 @@ def build_budget(args) -> SearchBudget:
     return SearchBudget.with_seconds(seconds, max_candidates=candidates, max_nodes=nodes)
 
 
-def _threads(args) -> int:
-    return _setting(getattr(args, "threads", None), "GONLAB_THREADS", int, 1)
-
-
 def _profile_payload(profile) -> dict:
     return {
         "n": profile.n,
@@ -208,9 +204,7 @@ def cmd_rank(args) -> int:
 
 def cmd_gonality(args) -> int:
     g = resolve_graph(args.graph)
-    result = exact_gonality(
-        g, build_budget(args), max_degree=args.max_degree, threads=_threads(args)
-    )
+    result = exact_gonality(g, build_budget(args), max_degree=args.max_degree)
     if isinstance(result, GonalityCertificate):
         emit(
             {
@@ -299,8 +293,9 @@ def cmd_random(args) -> int:
         cheeger_cap=args.cheeger_cap,
         separator_cap=args.separator_cap,
     )
+    threads = _setting(args.threads, "GONLAB_THREADS", int, 1)
     records, summary = run_experiment(
-        params, args.samples, caps, threads=_threads(args), budget=build_budget(args)
+        params, args.samples, caps, threads=threads, budget=build_budget(args)
     )
     if args.emit_graphs:
         outdir = Path(args.emit_graphs)
@@ -316,7 +311,7 @@ def cmd_random(args) -> int:
         },
         args.format,
     )
-    return EXIT_OK
+    return EXIT_BUDGET if any(r.gonality_status == "budget" for r in records) else EXIT_OK
 
 
 def cmd_pappus_demo(args) -> int:
@@ -324,7 +319,7 @@ def cmd_pappus_demo(args) -> int:
     budget = build_budget(args)
     report = full_report(g, budget)
     middle_ring = parse_divisor("0:1,1:1,2:1,3:1,4:1,5:1", g)
-    result = exact_gonality(g, budget, threads=_threads(args), upper=report.upper)
+    result = exact_gonality(g, budget, upper=report.upper)
     payload = {
         "cheeger_table": [{"j": r.j, "u": r.u, "h_u": r.h_u} for r in report.rows],
         "lambda2": report.spectral.lambda2,
@@ -390,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gonality", help="exact gonality certificate")
     _add_common(p)
     p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_gonality)
 
     p = sub.add_parser("bounds", help="full lower/upper bound report")
@@ -415,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pappus-demo", help="end-to-end walkthrough on the Pappus graph")
     _add_common(p, graph=False)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_pappus_demo)
 
     return parser

@@ -21,31 +21,17 @@ def count_compositions(total: int, parts: int) -> int:
 
 
 def compositions_colex(total: int, parts: int):
-    """Yield all compositions of `total` into `parts` parts in ascending colex."""
-    yield from compositions_colex_slice(total, parts, 0, count_compositions(total, parts))
+    """Yield all compositions of `total` into `parts` parts in ascending colex.
 
-
-def compositions_colex_slice(total: int, parts: int, start: int, stop: int):
-    """Yield compositions with colex rank in [start, stop), in order.
-
-    The composition of rank `start` is unranked from binomial counts, so
-    seeking costs O(parts * total) rather than enumerating from rank 0.
-    Each next one is its colex successor: one chip of the lowest non-empty
-    vertex moves up by one, and that vertex's other chips go to vertex 0.
+    The first is (total, 0, ..., 0).  Each next one is its colex successor:
+    one chip of the lowest non-empty vertex moves up by one, and that
+    vertex's other chips go to vertex 0.
     """
-    start = max(start, 0)
-    stop = min(stop, count_compositions(total, parts))
-    if start >= stop:
+    count = count_compositions(total, parts)
+    if not count:
         return
-    chips = [0] * parts
-    rest, rank = total, start
-    for k in range(parts - 1, 0, -1):  # c chips on k span count(rest - c, k) ranks below
-        while rank >= (block := count_compositions(rest - chips[k], k)):
-            rank -= block
-            chips[k] += 1
-        rest -= chips[k]
-    chips[0] = rest
-    for _ in range(stop - start - 1):
+    chips = [total] + [0] * (parts - 1)
+    for _ in range(count - 1):
         yield tuple(chips)
         low = 0
         while not chips[low]:

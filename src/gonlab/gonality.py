@@ -11,11 +11,7 @@ because a positive-rank witness of that degree is guaranteed to exist.
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, islice
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
 from gonlab.compositions import count_compositions
@@ -27,12 +23,6 @@ from gonlab.reduction import (
     _reduced_divisors,
     _vertex_order,
 )
-
-# Candidates a level tests serially before it uses the pool.  Candidates
-# are generated in the calling process, so a pool pays off only on long
-# levels: at 8,192 it never starts on Pappus, whose levels are shorter.
-POOL_AFTER = 8192
-CHUNK = 512  # candidates per task sent to the pool
 
 
 @dataclass(frozen=True)
@@ -60,50 +50,20 @@ class GonalityBracket:
     reason: str
 
 
-def _first_positive(g: Multigraph, candidates, order, tick):
-    """First candidate with positive rank, or None.  Also the pool's task,
-    where `tick` arrives as a pickled copy of the level's meter."""
-    for chips in candidates:
+def _search_level(g: Multigraph, degree: int, order, budget: SearchBudget):
+    """Colex-least 0-reduced positive-rank divisor of the given degree with
+    a chip on vertex 0, as chips, or None."""
+    tick = budget.meter("gonality search").tick
+    for chips in _reduced_divisors(g, degree, tick):
         if _positive_rank_obstruction(g, chips, order, tick) is None:
             return chips
     return None
-
-
-def _search_level(g: Multigraph, degree: int, order, budget: SearchBudget, pool, threads: int):
-    """Colex-least 0-reduced positive-rank divisor of the given degree with
-    a chip on vertex 0, as chips, or None.
-
-    The first POOL_AFTER candidates are tested here.  With a pool, the rest
-    go out in ordered chunks, at most two per worker in flight, and results
-    are read back in chunk order: the first hit is the colex-least one,
-    whatever the worker count.  A hit cancels the chunks still queued.
-    """
-    tick = budget.meter("gonality search").tick
-    candidates = _reduced_divisors(g, degree, tick)
-    hit = _first_positive(g, islice(candidates, POOL_AFTER if pool else None), order, tick)
-    if hit is not None or (first := next(candidates, None)) is None:
-        return hit
-    candidates = chain([first], candidates)
-    pending = deque()
-    try:
-        while True:
-            while len(pending) < 2 * threads and (chunk := list(islice(candidates, CHUNK))):
-                pending.append(pool.submit(_first_positive, g, chunk, order, tick))
-            if not pending:
-                return None
-            hit = pending.popleft().result()
-            if hit is not None:
-                return hit
-    finally:
-        for future in pending:
-            future.cancel()
 
 
 def exact_gonality(
     g: Multigraph,
     budget: SearchBudget = DEFAULT_BUDGET,
     max_degree: int | None = None,
-    threads: int = 1,
     upper: int | None = None,
 ) -> GonalityCertificate | GonalityBracket:
     """Smallest degree of a positive-rank divisor, with witness.
@@ -111,9 +71,7 @@ def exact_gonality(
     Returns a certificate when the ascending search completes, or a bracket
     when the candidate budget, time budget or `max_degree` cap stops it
     first.  The reported witness is the colex-least 0-reduced divisor with
-    a chip on vertex 0 at the answer degree, independent of the worker
-    count.  With threads > 1, one process pool rank-tests what each level
-    holds past its first POOL_AFTER candidates.
+    a chip on vertex 0 at the answer degree.
 
     `upper` is a precomputed gonality upper bound (a bound report's
     `upper`); when None, the genus bound and the complement of a greedy
@@ -135,41 +93,39 @@ def exact_gonality(
 
     order = _vertex_order(g)
     tested = 0
-    # an executor starts no worker before its first task
-    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        for degree in range(1, limit + 1):
-            level_size = count_compositions(degree, g.n)
-            if tested + level_size > budget.max_candidates:
-                return stopped(
-                    degree,
-                    f"degree-{degree} level needs {level_size} candidates, "
-                    f"{budget.max_candidates - tested} left in budget",
-                )
-            try:
-                witness_chips = _search_level(g, degree, order, budget, pool, threads)
-            except BudgetExceededError as exc:
-                return stopped(
-                    degree, f"time budget exhausted inside the degree-{degree} level: {exc}"
-                )
-            tested += level_size
-            if witness_chips is None:
-                continue
-            try:
-                valid = _positive_rank(g, witness_chips, budget.meter("emission re-check").tick)
-            except BudgetExceededError as exc:
-                return stopped(
-                    degree,
-                    f"time budget exhausted in the emission re-check of the "
-                    f"degree-{degree} witness: {exc}",
-                )
-            if not valid:
-                raise AssertionError("search returned an invalid witness")
-            return GonalityCertificate(
-                value=degree,
-                witness=Divisor(g, witness_chips),
-                exhaustive=True,
-                cleared_degree=degree - 1,
+    for degree in range(1, limit + 1):
+        level_size = count_compositions(degree, g.n)
+        if tested + level_size > budget.max_candidates:
+            return stopped(
+                degree,
+                f"degree-{degree} level needs {level_size} candidates, "
+                f"{budget.max_candidates - tested} left in budget",
             )
+        try:
+            witness_chips = _search_level(g, degree, order, budget)
+        except BudgetExceededError as exc:
+            return stopped(
+                degree, f"time budget exhausted inside the degree-{degree} level: {exc}"
+            )
+        tested += level_size
+        if witness_chips is None:
+            continue
+        try:
+            valid = _positive_rank(g, witness_chips, budget.meter("emission re-check").tick)
+        except BudgetExceededError as exc:
+            return stopped(
+                degree,
+                f"time budget exhausted in the emission re-check of the "
+                f"degree-{degree} witness: {exc}",
+            )
+        if not valid:
+            raise AssertionError("search returned an invalid witness")
+        return GonalityCertificate(
+            value=degree,
+            witness=Divisor(g, witness_chips),
+            exhaustive=True,
+            cleared_degree=degree - 1,
+        )
     # only reachable when max_degree capped the search below the upper bound
     return stopped(limit + 1, f"search capped at degree {limit}")
 

@@ -44,6 +44,10 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+# Whole-matching draws a sample may reject before `sample_configuration` gives up.
+MAX_RESAMPLES = 100_000
+
+
 @dataclass(frozen=True)
 class ConfigModelParams:
     """Sampling parameters; k*n must be even so a perfect matching exists."""
@@ -52,7 +56,6 @@ class ConfigModelParams:
     n: int
     seed: int
     mode: str = "multigraph"
-    max_resamples: int = 100_000
 
     def __post_init__(self):
         if self.k < 2:
@@ -76,7 +79,7 @@ def sample_configuration(params: ConfigModelParams, sample_index: int = 0) -> Mu
     """
     rng = np.random.Generator(np.random.PCG64(params.sample_seed(sample_index)))
     half_edges = np.repeat(np.arange(params.n), params.k)
-    for _ in range(params.max_resamples):
+    for _ in range(MAX_RESAMPLES):
         rng.shuffle(half_edges)
         pairs = half_edges.reshape(-1, 2)
         if np.any(pairs[:, 0] == pairs[:, 1]):
@@ -95,7 +98,7 @@ def sample_configuration(params: ConfigModelParams, sample_index: int = 0) -> Mu
                 continue
         return Multigraph.from_edges(params.n, edge_list)
     raise RuntimeError(
-        f"no admissible matching within {params.max_resamples} resamples "
+        f"no admissible matching within {MAX_RESAMPLES} resamples "
         f"(k={params.k}, n={params.n}, mode={params.mode})"
     )
 
@@ -114,7 +117,9 @@ class ExperimentCaps:
 class ExperimentRecord:
     """Per-sample statistics, projected from the sample's bound report; None
     marks quantities skipped by caps or budgets, or inapplicable to
-    disconnected samples."""
+    disconnected samples.  `gonality_status` says why `gonality` is set or
+    not: "certified", "capped" (n above the gonality cap) or "budget" (the
+    search stopped with a bracket); None on disconnected samples."""
 
     index: int
     graph_hash: str
@@ -132,6 +137,7 @@ class ExperimentRecord:
     lower: int | None = None
     upper: int | None = None
     gonality: int | None = None
+    gonality_status: str | None = None
     sandwich_ok: bool | None = None
 
 
@@ -177,10 +183,12 @@ def _evaluate_sample(
         upper_bounds=in_cap,
     )
     gonality = sandwich = None
+    status = "capped"
     if in_cap:
         result = exact_gonality(g, budget, upper=report.upper)
+        status = "budget"
         if isinstance(result, GonalityCertificate):
-            gonality = result.value
+            gonality, status = result.value, "certified"
             sandwich = report.lower <= gonality <= report.upper
     return ExperimentRecord(
         **sample,
@@ -194,6 +202,7 @@ def _evaluate_sample(
         lower=report.lower if in_cap else None,
         upper=report.upper,
         gonality=gonality,
+        gonality_status=status,
         sandwich_ok=sandwich,
     )
 

@@ -1,7 +1,9 @@
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from gonlab import randgraph
 from gonlab.cli import main
 
 
@@ -177,10 +179,23 @@ def test_pappus_demo_stopped_search_keeps_report_lower_bound(capsys):
 
 
 def test_threads_env_applies(capsys, monkeypatch):
+    """GONLAB_THREADS=2 gives `random` one two-worker sample pool and the
+    records of a serial run."""
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(randgraph, "ProcessPoolExecutor", CountingPool)
+    argv = ("random", "--k", "3", "--n", "8", "--samples", "4", "--seed", "7")
+    code, serial = run_json(capsys, *argv, "--threads", "1")
+    assert code == 0 and pools == []
     monkeypatch.setenv("GONLAB_THREADS", "2")
-    code, payload = run_json(capsys, "gonality", "cycle:6")
-    assert code == 0
-    assert payload["gonality"] == 2
+    code, threaded = run_json(capsys, *argv)
+    assert code == 0 and pools == [2]
+    assert threaded["records"] == serial["records"]
 
 
 def test_budget_seconds_env(capsys, monkeypatch):
@@ -211,10 +226,22 @@ def test_random_honours_budget(capsys):
     code, payload = run_json(
         capsys, "random", "--k", "3", "--n", "8", "--samples", "4", "--seed", "7", "--budget", "0",
     )
+    assert code == 2
+    assert len(payload["records"]) == 4
+    assert all(r["gonality"] is None for r in payload["records"])
+    assert all(r["gonality_status"] == "budget" for r in payload["records"])
+    assert payload["summary"]["gonality_evaluated"] == 0
+
+
+def test_random_above_gonality_cap_is_capped_not_stopped(capsys):
+    code, payload = run_json(
+        capsys, "random", "--k", "3", "--n", "8", "--samples", "4", "--seed", "7", "--budget", "0",
+        "--gonality-cap", "6",
+    )
     assert code == 0
     assert len(payload["records"]) == 4
     assert all(r["gonality"] is None for r in payload["records"])
-    assert payload["summary"]["gonality_evaluated"] == 0
+    assert all(r["gonality_status"] == "capped" for r in payload["records"])
 
 
 def test_bounds_cheeger_budget_gives_partial_report(capsys, monkeypatch):

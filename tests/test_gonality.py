@@ -1,6 +1,5 @@
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -62,39 +61,6 @@ def test_certificate_witness_is_valid(corpus):
         assert isinstance(result, GonalityCertificate)
         assert result.witness.degree() == result.value
         assert has_positive_rank(result.witness)
-
-
-def test_parallel_search_matches_serial():
-    g = named_graph("cycle:6")
-    serial = exact_gonality(g, threads=1)
-    parallel = exact_gonality(g, threads=4)
-    assert serial == parallel
-
-
-def test_pool_search_matches_serial(pappus, monkeypatch):
-    """With the serial prefix cut to one chunk, Pappus levels 4 and 5 send
-    candidates to the pool, which is opened once for the whole call and
-    gives the serial certificate."""
-    pools, tasks = [], []
-
-    class CountingPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-        def submit(self, *args, **kwargs):
-            tasks.append(len(args[2]))
-            return super().submit(*args, **kwargs)
-
-    monkeypatch.setattr(gonality, "ProcessPoolExecutor", CountingPool)
-    serial = exact_gonality(pappus, threads=1)
-    assert pools == [] and tasks == []
-    assert exact_gonality(pappus, threads=2) == serial
-    assert pools == [2] and tasks == []  # no Pappus level outlasts POOL_AFTER
-    monkeypatch.setattr(gonality, "POOL_AFTER", gonality.CHUNK)
-    assert exact_gonality(pappus, threads=2) == serial
-    assert pools == [2, 2]
-    assert sum(tasks) == 1122 + 5634 - 2 * gonality.CHUNK  # levels 4 and 5
 
 
 def test_corpus_gonality_matches_fixture(corpus):

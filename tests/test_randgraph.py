@@ -92,7 +92,7 @@ def test_run_experiment_records_and_sandwich():
         assert r.n == 8 and r.m == 12
         if r.connected:
             assert r.lambda2 is not None and r.lambda2 > 0
-            assert r.gonality is not None
+            assert r.gonality is not None and r.gonality_status == "certified"
             assert r.sandwich_ok
             assert r.lower <= r.gonality <= r.upper
 
@@ -113,7 +113,7 @@ def test_disconnected_samples_skipped_not_fatal():
     disconnected = [r for r in records if not r.connected]
     for r in disconnected:
         assert r.lambda2 is None
-        assert r.gonality is None
+        assert r.gonality is None and r.gonality_status is None
     assert summary.connected_samples == 20 - len(disconnected)
 
 
