@@ -25,6 +25,7 @@ GOLDEN = {
     "pappus_demo.json": ("pappus-demo",),
     "random_k3_n12_s20_seed5.json": ("random", "--k", "3", "--n", "12", "--samples", "20", "--seed", "5"),
     "random_k3_n40_s2_seed42.json": ("random", "--k", "3", "--n", "40", "--samples", "2", "--seed", "42"),
+    "spectral_pappus.json": ("spectral", "pappus"),
 }
 
 
