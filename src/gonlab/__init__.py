@@ -29,7 +29,6 @@ from gonlab.expansion import (
     edge_boundary,
     cheeger_profile,
     b_u,
-    separator_bipartition,
 )
 from gonlab.spectral import SpectralSummary, algebraic_connectivity, separator_lower_bound, spectral_gonality_bound
 from gonlab.bounds import BoundReport, separator_grid_bound, cheeger_grid_bound, full_report

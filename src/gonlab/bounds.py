@@ -34,7 +34,7 @@ from gonlab.expansion import (
 )
 from gonlab.gonality import genus_bound_is_loose, genus_upper_bound, independence_upper_bound
 from gonlab.graph import Multigraph, genus
-from gonlab.spectral import SpectralBound, gonality_bound_formula, spectral_gonality_bound
+from gonlab.spectral import SpectralBound, gonality_bound_bracket, spectral_gonality_bound
 
 
 def separator_grid_bound(
@@ -110,7 +110,7 @@ def spectral_pipeline_constant(lambda2: float = 3 - 2 * math.sqrt(2), d: int = 3
     The default is the random-regular spectral gap limit k - 2*sqrt(k-1)
     at k = 3.
     """
-    return gonality_bound_formula(lambda2, d, 1)
+    return float(gonality_bound_bracket(Fraction(lambda2), d, 1)[0])
 
 
 @dataclass(frozen=True)

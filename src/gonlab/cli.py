@@ -311,7 +311,8 @@ def cmd_random(args) -> int:
         },
         args.format,
     )
-    return EXIT_BUDGET if any(r.gonality_status == "budget" for r in records) else EXIT_OK
+    stopped = any(r.budget_limited or r.gonality_status == "budget" for r in records)
+    return EXIT_BUDGET if stopped else EXIT_OK
 
 
 def cmd_pappus_demo(args) -> int:

@@ -1,4 +1,4 @@
-"""Edge expansion: exact Cheeger grids, minimum separators, bipartitions.
+"""Edge expansion: exact Cheeger grids and minimum separators.
 
 All ratios are exact `Fraction`s.  The u-grid is {j/n : 1 <= j <= n//2}:
 both the size-restricted Cheeger constant and the separator invariant are
@@ -50,10 +50,6 @@ class CheegerProfile:
     def h(self) -> Fraction:
         """The plain Cheeger constant h(G) = h at u = 1/2."""
         return self.points[-1].value
-
-    @property
-    def h_witness(self) -> frozenset[int]:
-        return self.points[-1].witness
 
 
 @dataclass(frozen=True)
@@ -345,41 +341,3 @@ def b_u(
         lower_bound=len(separator) if optimal else min(root_lb, len(separator)),
     )
 
-
-def separator_bipartition(g: Multigraph, support) -> tuple[frozenset[int], frozenset[int]]:
-    """Split V minus support into sides A, B with no crossing edge and
-    |A| within [R/3, 2R/3] where R = |V minus support|.
-
-    Greedy procedure: grow A from the largest components while it stays
-    under 2R/3; if the maximal union falls short of R/3, one excluded
-    component alone must land inside the window, so A becomes that
-    component.  Requires every component smaller than n/2; raises when the
-    window is unreachable (a single component above 2R/3).
-    """
-    support = frozenset(support)
-    comps = components(g, support)
-    rest = g.n - len(support)
-    for c in comps:
-        if 2 * len(c) >= g.n:
-            raise ValueError(
-                f"component of size {len(c)} is not smaller than half of {g.n} vertices"
-            )
-    ordered = sorted(comps, key=lambda c: (-len(c), min(c) if c else 0))
-    a: set[int] = set()
-    skipped: list[frozenset[int]] = []
-    for c in ordered:
-        if 3 * (len(a) + len(c)) <= 2 * rest:
-            a |= c
-        else:
-            skipped.append(c)
-    if 3 * len(a) < rest:
-        # replace A by one skipped component; maximality forces it above R/3
-        u_comp = skipped[0]
-        if 3 * len(u_comp) > 2 * rest:
-            raise ValueError(
-                "no union of components fits the 1/3-2/3 window "
-                f"(component of size {len(u_comp)} exceeds two thirds of {rest})"
-            )
-        a = set(u_comp)
-    b = frozenset(v for v in range(g.n) if v not in support and v not in a)
-    return frozenset(a), b

@@ -119,7 +119,9 @@ class ExperimentRecord:
     marks quantities skipped by caps or budgets, or inapplicable to
     disconnected samples.  `gonality_status` says why `gonality` is set or
     not: "certified", "capped" (n above the gonality cap) or "budget" (the
-    search stopped with a bracket); None on disconnected samples."""
+    search stopped with a bracket); `budget_limited` is the bound report's
+    flag (a budget stopped its Cheeger scan or a separator search); both
+    are None on disconnected samples."""
 
     index: int
     graph_hash: str
@@ -136,6 +138,7 @@ class ExperimentRecord:
     cheeger_bound: Fraction | None = None
     lower: int | None = None
     upper: int | None = None
+    budget_limited: bool | None = None
     gonality: int | None = None
     gonality_status: str | None = None
     sandwich_ok: bool | None = None
@@ -201,6 +204,7 @@ def _evaluate_sample(
         cheeger_bound=report.cheeger_bound[0] if report.cheeger_bound else None,
         lower=report.lower if in_cap else None,
         upper=report.upper,
+        budget_limited=report.budget_limited,
         gonality=gonality,
         gonality_status=status,
         sandwich_ok=sandwich,

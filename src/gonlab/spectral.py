@@ -27,6 +27,14 @@ sigma sits max(TOL/2, 3r) below the estimate, so `error_bound` is about
 max(TOL/2, 3r): at most TOL = 1e-9 until 3r reaches it.  r grows like
 n * tr M * 2^-53, so cubic graphs from about n = 870 get the wider
 certified `error_bound` (1.3e-9 at n = 1000).
+
+The gonality bound (n/2*lambda2) * (-(7*lambda2 + 9d) + 3*sqrt(...)) is
+evaluated exactly, never in floats: its two terms cancel to O(lambda2^2),
+so a float evaluation loses its leading digits for small lambda2.
+`gonality_bound_bracket` uses the conjugate form, which increases with
+lambda2, in rationals with an integer square-root bracket; the ends of the
+certified lambda2 interval, taken as exact rationals, then give a proven
+`ceiling`.
 """
 
 from __future__ import annotations
@@ -41,6 +49,9 @@ from gonlab.graph import Multigraph, laplacian
 
 TOL = 1e-9
 """The `error_bound` aimed for; a larger Cholesky rounding margin overrides it."""
+
+ROOT_BITS = 64
+"""Binary digits after the point kept by the square-root bracket of the bound."""
 
 
 @dataclass(frozen=True)
@@ -135,31 +146,35 @@ def separator_lower_bound(size_a: int, size_b: int, lambda2: float, d: int, n: i
     return 4.0 * lambda2 * size_a * size_b / denom
 
 
-def gonality_bound_formula(lambda2: float, d: int, n: int) -> float:
-    """(n / 2*lambda2) * [-(7*lambda2 + 9d) + 3*sqrt(9*lambda2^2 + 14*d*lambda2 + 9*d^2)].
+def gonality_bound_bracket(lam: Fraction, d: int, n: int) -> tuple[Fraction, Fraction]:
+    """Rationals lower <= f(lam) <= upper for the spectral gonality bound
 
-    Tends to 0 as lambda2 -> 0+ (disconnected graphs need no separator).
+        f(lam) = (n / 2*lam) * (-B + 3*sqrt(A)) = 16*n*lam / (B + 3*sqrt(A)),
+        A = 9*lam^2 + 14*d*lam + 9*d^2,  B = 7*lam + 9d.
+
+    The conjugate form on the right (9A - B^2 = 32*lam^2) has no
+    cancellation and increases with lam, with f(0) = 0.  For lam = a/b,
+    sqrt(A) = sqrt(M)/b with M = 9a^2 + 14dab + 9d^2b^2, and `math.isqrt`
+    brackets sqrt(M) within 2^-ROOT_BITS, so the bracket's relative width
+    is below 2^-ROOT_BITS / (3d).
     """
-    if lambda2 <= 0.0:
-        return 0.0
-    root = math.sqrt(9.0 * lambda2 * lambda2 + 14.0 * d * lambda2 + 9.0 * d * d)
-    return n / (2.0 * lambda2) * (-(7.0 * lambda2 + 9.0 * d) + 3.0 * root)
-
-
-def support_quadratic(x: float, lambda2: float, d: int, n: int) -> float:
-    """The quadratic whose positive root is the gonality bound:
-    lambda2*x^2 + (7*lambda2 + 9d)*n*x - 8*lambda2*n^2.
-    """
-    return lambda2 * x * x + (7.0 * lambda2 + 9.0 * d) * n * x - 8.0 * lambda2 * n * n
+    if lam < 0:
+        raise ValueError("lambda2 must be non-negative")
+    a, b = lam.numerator, lam.denominator
+    r = math.isqrt((9 * a * a + 14 * d * a * b + 9 * d * d * b * b) << (2 * ROOT_BITS))
+    rational = (7 * a + 9 * d * b) << ROOT_BITS
+    numerator = (16 * n * a) << ROOT_BITS
+    return Fraction(numerator, rational + 3 * (r + 1)), Fraction(numerator, rational + 3 * r)
 
 
 @dataclass(frozen=True)
 class SpectralBound:
     """Spectral gonality lower bound with interval certification.
 
-    `low`/`high` bracket the true formula value through the lambda2 error
-    interval; `ceiling` is the certified integer bound ceil(low) (gonality
-    is an integer).
+    `low`/`high` are floats rounded outward from the exact bracket of the
+    formula over the lambda2 error interval; `ceiling` is the certified
+    integer bound, the ceiling of the exact lower end (gonality is an
+    integer); `value` is the formula at the lambda2 estimate.
     """
 
     value: float
@@ -176,24 +191,22 @@ def spectral_gonality_bound(g: Multigraph) -> SpectralBound:
     """Closed-form gonality lower bound from lambda2 and the maximum valence.
 
     Refuses disconnected graphs (lambda2 = 0 makes the expression
-    degenerate).  The bound is evaluated across the certified lambda2
-    interval; `ceiling` uses the interval's low end, so it is itself
-    certified.
+    degenerate).  The bound increases with lambda2, so it is evaluated once
+    at each end of the certified lambda2 interval; `ceiling` uses the low
+    end, so it is itself certified.
     """
     summary = algebraic_connectivity(g)
     if not summary.connected:
         raise ValueError("spectral gonality bound requires a connected graph")
-    lam_lo, lam_hi = summary.interval
     d, n = summary.d_max, summary.n
-    evals = [gonality_bound_formula(lam, d, n) for lam in (lam_lo, summary.lambda2, lam_hi)]
-    slack = 1e-12 * max(1.0, abs(evals[1])) + 1e-15
-    low = min(evals) - slack
-    high = max(evals) + slack
+    lam, err = Fraction(summary.lambda2), Fraction(summary.error_bound)
+    lower, _ = gonality_bound_bracket(max(lam - err, Fraction(0)), d, n)
+    _, upper = gonality_bound_bracket(lam + err, d, n)
     return SpectralBound(
-        value=evals[1],
-        low=low,
-        high=high,
-        ceiling=math.ceil(low),
+        value=float(gonality_bound_bracket(lam, d, n)[0]),
+        low=-_round_up(-lower),
+        high=_round_up(upper),
+        ceiling=math.ceil(lower),
         lambda2=summary.lambda2,
         lambda2_error=summary.error_bound,
         d_max=d,

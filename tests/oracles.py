@@ -7,8 +7,10 @@ exhaustive enumeration of equivalent effective divisors (not burning),
 reducedness through a burning loop written from the definition (not
 `gonlab.reduction`),
 expansion constants through all-subsets scans (not connected-only
-pruning), separators through subsets-by-increasing-size, and the
-algebraic connectivity through exact definiteness tests (not eigensolvers).
+pruning), separators through subsets-by-increasing-size, the
+algebraic connectivity through exact definiteness tests (not eigensolvers),
+and the spectral bound's ceiling through the squared paper form (not the
+conjugate form `gonlab.spectral` evaluates).
 Only small graphs are in scope; nothing here needs to be fast.
 """
 
@@ -290,3 +292,22 @@ def lambda2_in(g: Multigraph, lo: float, hi: float) -> bool:
     lo, hi = Fraction(lo), Fraction(hi)
     above_lo = lo <= 0 or _positive_definite(_shifted_laplacian(g, lo))
     return above_lo and not _positive_definite(_shifted_laplacian(g, hi))
+
+
+def spectral_ceiling_is(lam: Fraction, d: int, n: int, c: int) -> bool:
+    """Whether c - 1 < f(lam) <= c for the paper's form of the bound,
+    f(lam) = (n / 2*lam) * (-B + 3*sqrt(A)), A = 9*lam^2 + 14*d*lam + 9*d^2,
+    B = 7*lam + 9d, with lam > 0 and c >= 1.
+
+    f(lam) <= t is 3*sqrt(A) <= B + 2*lam*t/n; for t >= 0 the right side is
+    positive, so squaring both sides decides it exactly in rationals.
+    """
+    if lam <= 0 or c < 1:
+        raise ValueError("needs lam > 0 and c >= 1")
+    a = 9 * lam * lam + 14 * d * lam + 9 * d * d
+    b = 7 * lam + 9 * d
+
+    def at_most(t: int) -> bool:
+        return 9 * a <= (b + 2 * lam * Fraction(t, n)) ** 2
+
+    return at_most(c) and not at_most(c - 1)

@@ -244,6 +244,14 @@ def test_random_above_gonality_cap_is_capped_not_stopped(capsys):
     assert all(r["gonality_status"] == "capped" for r in payload["records"])
 
 
+def test_random_reports_budget_limited_bound_report(capsys, monkeypatch):
+    monkeypatch.setenv("GONLAB_BUDGET_NODES", "50")
+    code, payload = run_json(capsys, "random", "--k", "3", "--n", "10", "--samples", "2", "--seed", "4")
+    assert code == 2
+    assert [r["budget_limited"] for r in payload["records"]] == [True, True]
+    assert all(r["gonality_status"] == "certified" for r in payload["records"])
+
+
 def test_bounds_cheeger_budget_gives_partial_report(capsys, monkeypatch):
     monkeypatch.setenv("GONLAB_BUDGET_NODES", "50")
     code, payload = run_json(capsys, "bounds", "pappus")

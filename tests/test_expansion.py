@@ -8,7 +8,6 @@ from gonlab.expansion import (
     b_u,
     cheeger_profile,
     edge_boundary,
-    separator_bipartition,
 )
 from gonlab.graph import Multigraph, components, named_graph
 from oracles import brute_b_u, brute_boundary, brute_cheeger_witness, brute_h_u
@@ -176,75 +175,3 @@ def test_b_u_budget_returns_bracket(pappus):
     comps = components(pappus, cert.separator)
     assert all(len(c) <= 9 for c in comps)
 
-
-def _disjoint_union_with_hub(sizes, extra=0):
-    """Connected graph: one hub vertex attached to cliques of given sizes,
-    plus `extra` pendant vertices; removing the hub leaves the cliques and
-    pendants as components."""
-    edges = []
-    offset = 1
-    for size in sizes:
-        verts = list(range(offset, offset + size))
-        edges += [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :]]
-        edges.append((0, verts[0]))
-        offset += size
-    for _ in range(extra):
-        edges.append((0, offset))
-        offset += 1
-    return Multigraph.from_edges(offset, edges), offset
-
-
-def test_bipartition_three_triples():
-    g, _ = _disjoint_union_with_hub([3, 3, 3])
-    a, b = separator_bipartition(g, {0})
-    assert len(a) in (3, 6)
-    assert 3 <= len(a) <= 6
-    assert a | b == frozenset(range(1, g.n))
-    assert not any((u in a and v in b) or (u in b and v in a) for u, v, _ in g.edges)
-
-
-def test_bipartition_picks_large_component():
-    # components {4,1,1}: A must be the 4-component (window [2,4])
-    g, n = _disjoint_union_with_hub([4], extra=2)
-    # pad with isolated-ish chain so every component is < n/2
-    extra_edges = list(g.edges)
-    base = n
-    chain = [(0, base)] + [(base + i, base + i + 1) for i in range(6)]
-    g2 = Multigraph.from_edges(base + 7, [(u, v) for u, v, _ in extra_edges] + chain)
-    support = frozenset({0}) | frozenset(range(base, base + 7))
-    comps = components(g2, support)
-    assert sorted(len(c) for c in comps) == [1, 1, 4]
-    a, b = separator_bipartition(g2, support)
-    assert len(a) == 4
-    assert 2 <= len(a) <= 4
-
-
-def test_bipartition_four_pairs():
-    g, _ = _disjoint_union_with_hub([2, 2, 2, 2])
-    a, b = separator_bipartition(g, {0})
-    assert len(a) == 4
-
-
-def test_bipartition_window_property(corpus):
-    for g in corpus[:20]:
-        support = frozenset(range(0, g.n, 2))
-        comps = components(g, support)
-        if not comps or any(2 * len(c) >= g.n for c in comps):
-            continue
-        rest = g.n - len(support)
-        try:
-            a, b = separator_bipartition(g, support)
-        except ValueError:
-            # only legitimate when one component exceeds two thirds of the rest
-            assert any(3 * len(c) > 2 * rest for c in comps)
-            continue
-        assert rest == len(a) + len(b)
-        assert 3 * len(a) >= rest
-        assert 3 * len(a) <= 2 * rest
-        assert not any((u in a and v in b) or (u in b and v in a) for u, v, _ in g.edges)
-
-
-def test_bipartition_rejects_big_component():
-    g = named_graph("path:7")
-    with pytest.raises(ValueError):
-        separator_bipartition(g, {6})  # one component of size 6 >= 7/2

@@ -113,7 +113,7 @@ def test_disconnected_samples_skipped_not_fatal():
     disconnected = [r for r in records if not r.connected]
     for r in disconnected:
         assert r.lambda2 is None
-        assert r.gonality is None and r.gonality_status is None
+        assert r.gonality is None and r.gonality_status is None and r.budget_limited is None
     assert summary.connected_samples == 20 - len(disconnected)
 
 
@@ -125,3 +125,4 @@ def test_cheeger_budget_does_not_abort_experiment():
         if r.connected:
             assert r.lambda2 is not None
             assert r.h is None and r.cheeger_bound is None and r.separator_bound is None
+            assert r.budget_limited is True

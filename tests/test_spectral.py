@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from conftest import complete_graph, erdos_renyi_connected
 from gonlab.graph import Multigraph, laplacian, named_graph
 from gonlab.randgraph import ConfigModelParams, sample_configuration
 from gonlab.spectral import (
+    SpectralSummary,
     algebraic_connectivity,
-    gonality_bound_formula,
+    gonality_bound_bracket,
     separator_lower_bound,
     spectral_gonality_bound,
-    support_quadratic,
 )
-from oracles import lambda2_in, separations
+from oracles import lambda2_in, separations, spectral_ceiling_is
 
 
 def test_lambda2_against_numpy(corpus):
@@ -163,8 +164,8 @@ def test_separator_bound_holds_on_small_graphs():
 
 
 def test_gonality_bound_limit_zero():
-    assert gonality_bound_formula(0.0, 3, 100) == 0.0
-    assert gonality_bound_formula(1e-12, 3, 100) <= 1e-6
+    assert gonality_bound_bracket(Fraction(0), 3, 100) == (0, 0)
+    assert gonality_bound_bracket(Fraction(1e-12), 3, 100)[1] <= 1e-6
 
 
 def test_gonality_bound_formula_k2_degenerate():
@@ -173,9 +174,52 @@ def test_gonality_bound_formula_k2_degenerate():
     derivation needs a component strictly smaller than n/2 to split off,
     which no 2-vertex graph can provide.  Everything with n >= 4 in the
     soundness corpus respects the bound."""
-    value = gonality_bound_formula(2.0, 1, 2)
-    assert abs(value - 0.5 * (-23 + 3 * math.sqrt(73))) <= 1e-12
-    assert abs(value - 1.3160056179762947) <= 1e-12
+    for value in gonality_bound_bracket(Fraction(2), 1, 2):
+        assert abs(value - 0.5 * (-23 + 3 * math.sqrt(73))) <= 1e-12
+        assert abs(value - 1.3160056179762947) <= 1e-12
+
+
+# (lambda2, d, n) where the float form of the bound, even less a relative
+# slack of 1e-12, lands above an integer that the exact value is below
+CANCELLATION_ROWS = [(3e-4, 3, 90007), (1e-4, 3, 270007), (3e-5, 3, 450003), (1e-5, 3, 337500)]
+
+
+def _float_form_ceiling(lam, d, n):
+    value = n / (2 * lam) * (-(7 * lam + 9 * d) + 3 * math.sqrt(9 * lam * lam + 14 * d * lam + 9 * d * d))
+    return math.ceil(value - 1e-12 * max(1.0, value) - 1e-15)
+
+
+@pytest.mark.parametrize("lam, d, n", CANCELLATION_ROWS)
+def test_bound_ceiling_exact_where_float_form_cancels(lam, d, n):
+    ceiling = math.ceil(gonality_bound_bracket(Fraction(lam), d, n)[0])
+    assert spectral_ceiling_is(Fraction(lam), d, n, ceiling)
+    assert not spectral_ceiling_is(Fraction(lam), d, n, _float_form_ceiling(lam, d, n))
+
+
+def test_bound_ceiling_against_squared_oracle():
+    """Dyadic lambda2 spread log-uniformly over [1e-8, 2d]."""
+    rng = random.Random(8)
+    for _ in range(2000):
+        d = rng.choice((2, 3, 4, 6))
+        n = rng.randint(4, 10**6)
+        lam = Fraction(2 ** rng.uniform(math.log2(1e-8), math.log2(2 * d)))
+        lower, upper = gonality_bound_bracket(lam, d, n)
+        assert 0 < lower <= upper
+        assert spectral_ceiling_is(lam, d, n, math.ceil(lower))
+
+
+def test_spectral_bound_certifies_from_interval_ends(monkeypatch):
+    """The first cancellation row through `spectral_gonality_bound`: the
+    ceiling comes from the exact low end of the lambda2 interval."""
+    lam, err = 3e-4, 1e-18
+    summary = SpectralSummary(n=90007, d_max=3, lambda2=lam, error_bound=err, connected=True, fiedler_vector=())
+    monkeypatch.setattr("gonlab.spectral.algebraic_connectivity", lambda g: summary)
+    bound = spectral_gonality_bound(named_graph("k4"))  # its summary is replaced
+    assert bound.ceiling == 8
+    assert spectral_ceiling_is(Fraction(lam) - Fraction(err), 3, 90007, 8)
+    assert Fraction(bound.low) <= gonality_bound_bracket(Fraction(lam) - Fraction(err), 3, 90007)[0]
+    assert Fraction(bound.high) >= gonality_bound_bracket(Fraction(lam) + Fraction(err), 3, 90007)[1]
+    assert bound.low <= bound.value <= bound.high
 
 
 def test_pappus_spectral_bound(pappus):
@@ -183,15 +227,6 @@ def test_pappus_spectral_bound(pappus):
     assert abs(bound.value - 5.0395109095) <= 1e-6
     assert bound.low <= bound.value <= bound.high
     assert bound.ceiling == 6
-
-
-def test_quadratic_identity(corpus, pappus):
-    """The returned bound is the positive root of the support quadratic."""
-    for g in corpus[:10] + [pappus]:
-        bound = spectral_gonality_bound(g)
-        q = support_quadratic(bound.value, bound.lambda2, bound.d_max, bound.n)
-        scale = max(abs(bound.lambda2) * bound.n**2, 1.0)
-        assert abs(q) / scale <= 1e-6
 
 
 def test_spectral_bound_positive_and_below_n(corpus):
