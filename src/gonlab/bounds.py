@@ -32,7 +32,7 @@ from gonlab.expansion import (
     b_u,
     cheeger_profile,
 )
-from gonlab.gonality import genus_bound_is_loose, genus_upper_bound, independence_upper_bound
+from gonlab.gonality import genus_upper_bound, independence_upper_bound
 from gonlab.graph import Multigraph, genus
 from gonlab.spectral import SpectralBound, gonality_bound_bracket, spectral_gonality_bound
 
@@ -143,7 +143,6 @@ class BoundReport:
     cheeger_bound: tuple[Fraction, Fraction] | None
     spectral: SpectralBound | None
     upper_genus: int | None
-    upper_genus_loose: bool
     upper_independence: int | None
     lower: int
     upper: int | None
@@ -183,7 +182,7 @@ def full_report(
     if g.n > exact_cheeger_cap:
         notes.append(
             f"n={g.n} above exact cheeger cap {exact_cheeger_cap}: "
-            "profile is heuristic (upper bounds only), grid bounds skipped"
+            "cheeger scan and grid bounds skipped"
         )
     else:
         try:
@@ -240,7 +239,6 @@ def full_report(
     if g.n >= 2:
         spectral = spectral_gonality_bound(g)
 
-    loose = genus_bound_is_loose(g)
     upper_genus = upper_independence = upper = None
     if upper_bounds:
         upper_genus = genus_upper_bound(g)
@@ -251,9 +249,7 @@ def full_report(
                 f"{upper_independence} comes from the best set found"
             )
             budget_limited = True
-        upper = upper_independence if loose else min(upper_genus, upper_independence)
-        if loose:
-            notes.append("genus 1: the genus upper bound is loose and excluded from the fold")
+        upper = min(upper_genus, upper_independence)
 
     lower = 1  # a positive-rank divisor has positive degree
     for value in (sep_bound, cheeger_bound):
@@ -273,7 +269,6 @@ def full_report(
         cheeger_bound=cheeger_bound,
         spectral=spectral,
         upper_genus=upper_genus,
-        upper_genus_loose=loose,
         upper_independence=upper_independence,
         lower=lower,
         upper=upper,

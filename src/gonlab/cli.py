@@ -149,21 +149,29 @@ def cmd_bu(args) -> int:
 
 def cmd_spectral(args) -> int:
     g = resolve_graph(args.graph)
-    summary = algebraic_connectivity(g)
-    payload = {
-        "n": summary.n,
-        "d_max": summary.d_max,
-        "lambda2": summary.lambda2,
-        "error_bound": summary.error_bound,
-        "connected": summary.connected,
-    }
-    if summary.connected:
+    if g.is_connected():
         bound = spectral_gonality_bound(g)
-        payload["gonality_bound"] = {
-            "value": bound.value,
-            "low": bound.low,
-            "high": bound.high,
-            "ceiling": bound.ceiling,
+        payload = {
+            "n": bound.n,
+            "d_max": bound.d_max,
+            "lambda2": bound.lambda2,
+            "error_bound": bound.lambda2_error,
+            "connected": True,
+            "gonality_bound": {
+                "value": bound.value,
+                "low": bound.low,
+                "high": bound.high,
+                "ceiling": bound.ceiling,
+            },
+        }
+    else:
+        summary = algebraic_connectivity(g)
+        payload = {
+            "n": summary.n,
+            "d_max": summary.d_max,
+            "lambda2": summary.lambda2,
+            "error_bound": summary.error_bound,
+            "connected": False,
         }
     emit(payload, args.format)
     return EXIT_OK
@@ -211,8 +219,6 @@ def cmd_gonality(args) -> int:
                 "gonality": result.value,
                 "witness": format_divisor(result.witness),
                 "witness_chips": list(result.witness.chips),
-                "exhaustive": result.exhaustive,
-                "cleared_degree": result.cleared_degree,
             },
             args.format,
         )
@@ -221,7 +227,6 @@ def cmd_gonality(args) -> int:
         {
             "lower": result.lower,
             "upper": result.upper,
-            "cleared_degree": result.cleared_degree,
             "reason": result.reason,
         },
         args.format,
@@ -265,7 +270,6 @@ def _report_payload(report: BoundReport) -> dict:
             "ceiling": report.spectral.ceiling,
         },
         "upper_genus": report.upper_genus,
-        "upper_genus_loose": report.upper_genus_loose,
         "upper_independence": report.upper_independence,
         "lower": report.lower,
         "upper": report.upper,
@@ -337,7 +341,6 @@ def cmd_pappus_demo(args) -> int:
         payload["gonality"] = {
             "value": result.value,
             "witness": format_divisor(result.witness),
-            "exhaustive": result.exhaustive,
         }
     else:
         payload["gonality"] = {"lower": max(result.lower, report.lower), "upper": result.upper}
@@ -345,56 +348,64 @@ def cmd_pappus_demo(args) -> int:
     return EXIT_OK if certified and not report.budget_limited else EXIT_BUDGET
 
 
-def _add_common(parser: argparse.ArgumentParser, graph: bool = True) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, graph: bool = True, candidates: bool = True, seconds: bool = True
+) -> None:
+    """The shared arguments; a command offers only the budget flags its
+    engines read."""
     if graph:
         parser.add_argument("graph", help="named graph (pappus, k4, cycle:<n>, path:<n>) or edge-list file")
     parser.add_argument("--format", choices=("human", "json", "tsv"), default="human")
-    parser.add_argument("--budget", type=int, default=None, help="candidate enumeration cap")
-    parser.add_argument("--budget-seconds", type=float, default=None, help="wall clock cap")
+    if candidates:
+        parser.add_argument("--budget", type=int, default=None, help="candidate enumeration cap")
+    if seconds:
+        parser.add_argument("--budget-seconds", type=float, default=None, help="wall clock cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gonlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cheeger", help="exact u-Cheeger profile over the grid")
-    _add_common(p)
+    # no abbreviations: on a command without --budget, argparse would
+    # otherwise read `--budget 0` as `--budget-seconds 0`
+    p = sub.add_parser("cheeger", help="exact u-Cheeger profile over the grid", allow_abbrev=False)
+    _add_common(p, candidates=False)
     p.add_argument("--exact-max-n", type=int, default=24)
     p.set_defaults(func=cmd_cheeger)
 
-    p = sub.add_parser("bu", help="minimum separator leaving components of size <= u*n")
-    _add_common(p)
+    p = sub.add_parser("bu", help="minimum separator leaving components of size <= u*n", allow_abbrev=False)
+    _add_common(p, candidates=False)
     p.add_argument("--u", required=True, help="fraction like 6/18")
     p.set_defaults(func=cmd_bu)
 
-    p = sub.add_parser("spectral", help="algebraic connectivity and the spectral bound")
-    _add_common(p)
+    p = sub.add_parser("spectral", help="algebraic connectivity and the spectral bound", allow_abbrev=False)
+    _add_common(p, candidates=False, seconds=False)
     p.set_defaults(func=cmd_spectral)
 
-    p = sub.add_parser("reduce", help="v-reduced form of a divisor")
-    _add_common(p)
+    p = sub.add_parser("reduce", help="v-reduced form of a divisor", allow_abbrev=False)
+    _add_common(p, candidates=False, seconds=False)
     p.add_argument("divisor", help="literal like 0:1,4:2 (empty string = zero divisor)")
     p.add_argument("--at", type=int, required=True, help="reduction vertex")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("rank", help="test rank >= r with a failure witness")
+    p = sub.add_parser("rank", help="test rank >= r with a failure witness", allow_abbrev=False)
     _add_common(p)
     p.add_argument("divisor")
     p.add_argument("--at-least", type=int, default=1)
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("gonality", help="exact gonality certificate")
+    p = sub.add_parser("gonality", help="exact gonality certificate", allow_abbrev=False)
     _add_common(p)
     p.add_argument("--max-degree", type=int, default=None)
     p.set_defaults(func=cmd_gonality)
 
-    p = sub.add_parser("bounds", help="full lower/upper bound report")
-    _add_common(p)
+    p = sub.add_parser("bounds", help="full lower/upper bound report", allow_abbrev=False)
+    _add_common(p, candidates=False)
     p.add_argument("--cheeger-cap", type=int, default=24)
     p.add_argument("--separator-cap", type=int, default=24)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("random", help="configuration-model experiment harness")
+    p = sub.add_parser("random", help="configuration-model experiment harness", allow_abbrev=False)
     _add_common(p, graph=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -408,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-graphs", default=None, help="write each sample as an edge list into this directory")
     p.set_defaults(func=cmd_random)
 
-    p = sub.add_parser("pappus-demo", help="end-to-end walkthrough on the Pappus graph")
+    p = sub.add_parser("pappus-demo", help="end-to-end walkthrough on the Pappus graph", allow_abbrev=False)
     _add_common(p, graph=False)
     p.set_defaults(func=cmd_pappus_demo)
 

@@ -17,36 +17,25 @@ from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
 from gonlab.compositions import count_compositions
 from gonlab.divisor import Divisor
 from gonlab.graph import Multigraph, genus
-from gonlab.reduction import (
-    _positive_rank,
-    _positive_rank_obstruction,
-    _reduced_divisors,
-    _vertex_order,
-)
+from gonlab.reduction import _positive_rank_obstruction, _reduced_divisors, _vertex_order
 
 
 @dataclass(frozen=True)
 class GonalityCertificate:
-    """Exact gonality with a verified witness.
-
-    `cleared_degree` is the largest degree at which every effective divisor
-    was exhaustively refuted; `exhaustive` asserts cleared_degree == value-1,
-    i.e. no smaller-degree positive-rank divisor exists.
-    """
+    """Exact gonality with its witness: every degree below `value` was
+    searched exhaustively and holds no positive-rank divisor."""
 
     value: int
     witness: Divisor
-    exhaustive: bool
-    cleared_degree: int
 
 
 @dataclass(frozen=True)
 class GonalityBracket:
-    """Best-known range when the search stopped before certifying."""
+    """Best-known range when the search stopped before certifying: every
+    degree below `lower` was searched exhaustively."""
 
     lower: int
     upper: int
-    cleared_degree: int
     reason: str
 
 
@@ -81,70 +70,46 @@ def exact_gonality(
     if not g.is_connected():
         raise ValueError("gonality search requires a connected graph")
     if upper is None:
-        upper = max(1, complement_divisor(g, greedy_independent_set(g)).degree())
-        if genus(g) != 1:
-            upper = min(upper, genus_upper_bound(g))
-    limit = upper if max_degree is None else min(upper, max_degree)
-
-    def stopped(degree: int, reason: str) -> GonalityBracket:
-        return GonalityBracket(
-            lower=degree, upper=upper, cleared_degree=degree - 1, reason=reason
+        upper = min(
+            genus_upper_bound(g),
+            max(1, complement_divisor(g, greedy_independent_set(g)).degree()),
         )
-
+    limit = upper if max_degree is None else min(upper, max_degree)
     order = _vertex_order(g)
     tested = 0
     for degree in range(1, limit + 1):
         level_size = count_compositions(degree, g.n)
         if tested + level_size > budget.max_candidates:
-            return stopped(
+            return GonalityBracket(
                 degree,
+                upper,
                 f"degree-{degree} level needs {level_size} candidates, "
                 f"{budget.max_candidates - tested} left in budget",
             )
         try:
             witness_chips = _search_level(g, degree, order, budget)
         except BudgetExceededError as exc:
-            return stopped(
-                degree, f"time budget exhausted inside the degree-{degree} level: {exc}"
+            return GonalityBracket(
+                degree, upper, f"time budget exhausted inside the degree-{degree} level: {exc}"
             )
         tested += level_size
-        if witness_chips is None:
-            continue
-        try:
-            valid = _positive_rank(g, witness_chips, budget.meter("emission re-check").tick)
-        except BudgetExceededError as exc:
-            return stopped(
-                degree,
-                f"time budget exhausted in the emission re-check of the "
-                f"degree-{degree} witness: {exc}",
-            )
-        if not valid:
-            raise AssertionError("search returned an invalid witness")
-        return GonalityCertificate(
-            value=degree,
-            witness=Divisor(g, witness_chips),
-            exhaustive=True,
-            cleared_degree=degree - 1,
-        )
+        if witness_chips is not None:
+            return GonalityCertificate(value=degree, witness=Divisor(g, witness_chips))
     # only reachable when max_degree capped the search below the upper bound
-    return stopped(limit + 1, f"search capped at degree {limit}")
+    return GonalityBracket(limit + 1, upper, f"search capped at degree {limit}")
 
 
 def genus_upper_bound(g: Multigraph) -> int:
-    """Upper bound gon(G) <= genus, from Riemann-Roch; max(genus, 1) below genus 2.
+    """Riemann-Roch upper bound: gon(G) <= genus from genus 2 on, genus + 1 below.
 
-    For genus 0 (trees) the returned 1 is exact.  For genus 1 the returned
-    value is the known-loose case (the true gonality is 2): report
-    consumers must not fold it into upper-bound minima.  Use
-    `genus_bound_is_loose` to detect it.
+    From genus 2 on, K - E with E effective of degree g - 2 has rank at
+    least 1.  Below it the bound is exact: trees have gonality 1, and on
+    genus 1 every degree-2 divisor has rank 2 - 1 = 1.
     """
     if not g.is_connected():
         raise ValueError("genus bound requires a connected graph")
-    return max(genus(g), 1)
-
-
-def genus_bound_is_loose(g: Multigraph) -> bool:
-    return genus(g) == 1
+    gen = genus(g)
+    return gen if gen >= 2 else gen + 1
 
 
 def greedy_independent_set(g: Multigraph) -> frozenset[int]:

@@ -179,10 +179,12 @@ def test_full_report_tree():
 
 
 def test_full_report_cycle_handles_loose_genus():
+    """Genus 1, where `genus` itself would be no bound: the genus bound
+    is genus + 1 = 2, which is exact and folds into `upper` like any other."""
     report = full_report(named_graph("cycle:4"))
-    assert report.upper_genus_loose
-    assert report.upper == 2  # independence bound only; genus-1 bound excluded
+    assert report.upper_genus == 2
     assert report.bracket == (2, 2)
+    assert report.notes == ()
 
 
 def test_full_report_k4():
@@ -201,13 +203,13 @@ def test_full_report_sandwich(corpus):
         assert report.lower <= result.value <= report.upper
 
 
-def test_full_report_heuristic_mode_notes():
+def test_full_report_above_cheeger_cap_notes_skipped_scan():
     g = named_graph("pappus")
     report = full_report(g, exact_cheeger_cap=10)
     assert not report.profile_exact
     assert report.cheeger_bound is None
     assert report.separator_bound is None
-    assert any("heuristic" in note for note in report.notes)
+    assert report.notes == ("n=18 above exact cheeger cap 10: cheeger scan and grid bounds skipped",)
     # spectral and uppers still present
     assert report.spectral is not None
     assert report.bracket == (6, 9)  # spectral ceiling still drives the lower end

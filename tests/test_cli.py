@@ -1,10 +1,11 @@
 import json
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from gonlab import randgraph
-from gonlab.cli import main
+from gonlab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +42,30 @@ def test_spectral_command(capsys):
     assert payload["gonality_bound"]["ceiling"] == 6
 
 
+def test_spectral_command_solves_one_eigenproblem(capsys, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(1)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    code, payload = run_json(capsys, "spectral", "pappus")
+    assert code == 0 and payload["connected"] is True
+    assert len(calls) == 1
+
+
+def test_spectral_command_disconnected(tmp_path, capsys):
+    two_edges = tmp_path / "two_edges.txt"
+    two_edges.write_text("4 2\n0 1\n2 3\n")
+    code, payload = run_json(capsys, "spectral", str(two_edges))
+    assert code == 0
+    assert payload["connected"] is False
+    assert payload["lambda2"] == 0.0
+    assert "gonality_bound" not in payload
+
+
 def test_bu_command(capsys):
     code, payload = run_json(capsys, "bu", "path:5", "--u", "1/2")
     assert code == 0
@@ -72,7 +97,7 @@ def test_gonality_command(capsys):
     code, payload = run_json(capsys, "gonality", "cycle:6")
     assert code == 0
     assert payload["gonality"] == 2
-    assert payload["exhaustive"] is True
+    assert payload["witness_chips"] == [2, 0, 0, 0, 0, 0]
 
 
 def test_gonality_budget_exit_code(capsys):
@@ -88,9 +113,10 @@ def test_bounds_command(capsys):
     rows = {r["j"]: r["h_u"] for r in payload["rows"]}
     assert rows[3] == "2/3"
     assert payload["lower"] == 2
-    # genus-1 bound is loose and excluded; independence gives 6 - 3 = 3
-    assert payload["upper"] == 3
-    assert payload["upper_genus_loose"] is True
+    # genus 1: every degree-2 divisor has rank 1; independence gives 6 - 3 = 3
+    assert (payload["upper_genus"], payload["upper_independence"]) == (2, 3)
+    assert payload["upper"] == 2
+    assert payload["notes"] == []
     assert payload["budget_limited"] is False
 
 
@@ -160,8 +186,7 @@ def test_tsv_format(capsys):
 def test_pappus_demo(capsys):
     code, payload = run_json(capsys, "pappus-demo")
     assert code == 0
-    assert payload["gonality"]["value"] == 6
-    assert payload["gonality"]["exhaustive"] is True
+    assert payload["gonality"] == {"value": 6, "witness": "0:6"}
     assert payload["middle_ring_divisor_positive_rank"] is True
     assert payload["cheeger_grid_bound"] == {"u": "1/3", "value": "9/2"}
     assert payload["spectral_bound"]["ceiling"] == 6
@@ -218,8 +243,7 @@ def test_zero_budget_is_a_cap(capsys, monkeypatch, flag, env):
     code, payload = run_json(capsys, "gonality", "cycle:8", *((flag, "0") if flag else ()))
     assert code == 2
     assert payload["lower"] == 1
-    assert payload["upper"] == 4
-    assert payload["cleared_degree"] == 0
+    assert payload["upper"] == 2
 
 
 def test_random_honours_budget(capsys):
@@ -259,3 +283,26 @@ def test_bounds_cheeger_budget_gives_partial_report(capsys, monkeypatch):
     assert payload["budget_limited"] is True
     assert payload["rows"] == []
     assert payload["lower"] <= 6 <= payload["upper"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cheeger", "k4", "--budget", "0"),
+        ("bu", "cycle:8", "--u", "1/4", "--budget", "0"),
+        ("bounds", "pappus", "--budget", "0"),
+        ("spectral", "pappus", "--budget", "0"),
+        ("spectral", "pappus", "--budget-seconds", "0"),
+        ("reduce", "k4", "0:1", "--at", "0", "--budget", "0"),
+        ("reduce", "k4", "0:1", "--at", "0", "--budget-seconds", "0"),
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_budget_flags_only_where_read(argv, capsys):
+    """A command offers only the budget flags its engines read: the
+    candidate cap is read by the gonality search and the rank test alone,
+    and `spectral` and `reduce` read no budget."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
