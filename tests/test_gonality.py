@@ -111,7 +111,6 @@ def test_genus_upper_bound_values(pappus, corpus):
     trees have gonality 1 and genus-1 graphs gonality 2."""
     assert genus_upper_bound(pappus) == 10
     assert genus_upper_bound(named_graph("path:5")) == 1
-    assert genus_upper_bound(named_graph("cycle:4")) == 2
     assert genus_upper_bound(Multigraph.from_edges(2, [(0, 1)] * 4)) == 3
     expected = json.loads((GOLDEN_DIR / "corpus_gonality.json").read_text())
     low_genus = 0
@@ -121,6 +120,15 @@ def test_genus_upper_bound_values(pappus, corpus):
             assert genus_upper_bound(g) == gon
             low_genus += 1
     assert low_genus == 7 + 37  # trees and genus-1 graphs of the corpus
+
+
+def test_genus_bound_loose_for_cycles():
+    """Cycles have genus 1, where the plain Riemann-Roch bound (the genus)
+    is one short of the gonality; the genus + 1 branch closes that gap."""
+    c4 = named_graph("cycle:4")
+    assert genus(c4) == 1
+    assert genus_upper_bound(c4) == 2
+    assert exact_gonality(c4).value == 2
 
 
 def test_independence_bound_complete_graph():
