@@ -184,7 +184,7 @@ def full_report(
             f"n={g.n} above exact cheeger cap {exact_cheeger_cap}: "
             "cheeger scan and grid bounds skipped"
         )
-    else:
+    elif g.n >= 2:
         try:
             profile = cheeger_profile(g, budget, exact_cap=exact_cheeger_cap)
         except BudgetExceededError as exc:

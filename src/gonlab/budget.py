@@ -1,9 +1,10 @@
-"""Search budgets shared by the enumerative and branch-and-bound engines.
+"""Search budgets shared by every search engine.
 
-Every engine stops by one rule: it opens a `Meter` and ticks it once per
-step, and the tick raises `BudgetExceededError` once the step count passes
-the meter's cap or the deadline has passed.  Both are checked on every
-tick, so a cap or a deadline of 0 stops an engine at its first step.
+Every engine stops by one rule: it opens `budget.meter(what)` and ticks it
+once per step, and the tick raises `BudgetExceededError` once the step
+count passes the budget's `max_steps` or the deadline has passed.  Both
+are checked on every tick, so a cap or a deadline of 0 stops an engine at
+its first step.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 
 class BudgetExceededError(RuntimeError):
-    """A search hit its enumeration/node/time cap before finishing."""
+    """A search hit its step or time cap before finishing."""
 
 
 @dataclass(slots=True)
@@ -21,14 +22,14 @@ class Meter:
     """Step counter of one search; see `SearchBudget.meter`."""
 
     what: str
-    cap: int | None
+    cap: int
     deadline: float | None
     count: int = 0
 
     def tick(self) -> None:
         """Count one step; raise once the count passes the cap or the deadline has passed."""
         self.count += 1
-        if self.cap is not None and self.count > self.cap:
+        if self.count > self.cap:
             raise BudgetExceededError(f"{self.what} exceeded {self.cap} steps")
         if self.deadline is not None and time.monotonic() >= self.deadline:
             raise BudgetExceededError(f"time budget exhausted during {self.what}")
@@ -38,15 +39,12 @@ class Meter:
 class SearchBudget:
     """Caps for exhaustive searches.
 
-    max_candidates: divisor enumeration cap (gonality search, rank tests),
-        checked when a whole degree level or rank test is admitted.
-    max_nodes: step cap of the Cheeger scan, the separator search and the
-        independent-set search.
+    max_steps: step cap of each search (Cheeger scan, separator search,
+        independent-set search, one whole gonality search, one rank test).
     deadline: absolute time.monotonic() stamp, or None for unlimited.
     """
 
-    max_candidates: int = 5_000_000
-    max_nodes: int = 2_000_000
+    max_steps: int = 2_000_000
     deadline: float | None = None
 
     @classmethod
@@ -54,10 +52,10 @@ class SearchBudget:
         deadline = None if seconds is None else time.monotonic() + seconds
         return cls(deadline=deadline, **kwargs)
 
-    def meter(self, what: str, cap: int | None = None) -> Meter:
-        """A fresh step meter for one search named `what`, stopped by `cap`
-        steps (None: no step cap) and by this budget's deadline."""
-        return Meter(what, cap, self.deadline)
+    def meter(self, what: str) -> Meter:
+        """A fresh step meter for one search named `what`, stopped by
+        `max_steps` steps and by this budget's deadline."""
+        return Meter(what, self.max_steps, self.deadline)
 
 
 DEFAULT_BUDGET = SearchBudget()

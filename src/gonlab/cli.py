@@ -101,12 +101,9 @@ def _setting(flag, env: str, parse, default=None):
 
 
 def build_budget(args) -> SearchBudget:
-    candidates = _setting(
-        getattr(args, "budget", None), "GONLAB_BUDGET_CANDIDATES", int, DEFAULT_BUDGET.max_candidates
-    )
-    nodes = _setting(None, "GONLAB_BUDGET_NODES", int, DEFAULT_BUDGET.max_nodes)
-    seconds = _setting(getattr(args, "budget_seconds", None), "GONLAB_BUDGET_SECONDS", float)
-    return SearchBudget.with_seconds(seconds, max_candidates=candidates, max_nodes=nodes)
+    steps = _setting(args.budget, "GONLAB_BUDGET_STEPS", int, DEFAULT_BUDGET.max_steps)
+    seconds = _setting(args.budget_seconds, "GONLAB_BUDGET_SECONDS", float)
+    return SearchBudget.with_seconds(seconds, max_steps=steps)
 
 
 def _profile_payload(profile) -> dict:
@@ -324,7 +321,7 @@ def cmd_pappus_demo(args) -> int:
     budget = build_budget(args)
     report = full_report(g, budget)
     middle_ring = parse_divisor("0:1,1:1,2:1,3:1,4:1,5:1", g)
-    result = exact_gonality(g, budget, upper=report.upper)
+    result = exact_gonality(g, budget)
     payload = {
         "cheeger_table": [{"j": r.j, "u": r.u, "h_u": r.h_u} for r in report.rows],
         "lambda2": report.spectral.lambda2,
@@ -343,22 +340,22 @@ def cmd_pappus_demo(args) -> int:
             "witness": format_divisor(result.witness),
         }
     else:
-        payload["gonality"] = {"lower": max(result.lower, report.lower), "upper": result.upper}
+        payload["gonality"] = {
+            "lower": max(result.lower, report.lower),
+            "upper": min(result.upper, report.upper),
+        }
     emit(payload, args.format)
     return EXIT_OK if certified and not report.budget_limited else EXIT_BUDGET
 
 
-def _add_common(
-    parser: argparse.ArgumentParser, graph: bool = True, candidates: bool = True, seconds: bool = True
-) -> None:
-    """The shared arguments; a command offers only the budget flags its
-    engines read."""
+def _add_common(parser: argparse.ArgumentParser, graph: bool = True, budget: bool = True) -> None:
+    """The shared arguments; a command offers the budget flags only when
+    its engines read a budget."""
     if graph:
         parser.add_argument("graph", help="named graph (pappus, k4, cycle:<n>, path:<n>) or edge-list file")
     parser.add_argument("--format", choices=("human", "json", "tsv"), default="human")
-    if candidates:
-        parser.add_argument("--budget", type=int, default=None, help="candidate enumeration cap")
-    if seconds:
+    if budget:
+        parser.add_argument("--budget", type=int, default=None, help="step cap of each search")
         parser.add_argument("--budget-seconds", type=float, default=None, help="wall clock cap")
 
 
@@ -366,46 +363,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gonlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # no abbreviations: on a command without --budget, argparse would
-    # otherwise read `--budget 0` as `--budget-seconds 0`
-    p = sub.add_parser("cheeger", help="exact u-Cheeger profile over the grid", allow_abbrev=False)
-    _add_common(p, candidates=False)
+    p = sub.add_parser("cheeger", help="exact u-Cheeger profile over the grid")
+    _add_common(p)
     p.add_argument("--exact-max-n", type=int, default=24)
     p.set_defaults(func=cmd_cheeger)
 
-    p = sub.add_parser("bu", help="minimum separator leaving components of size <= u*n", allow_abbrev=False)
-    _add_common(p, candidates=False)
+    p = sub.add_parser("bu", help="minimum separator leaving components of size <= u*n")
+    _add_common(p)
     p.add_argument("--u", required=True, help="fraction like 6/18")
     p.set_defaults(func=cmd_bu)
 
-    p = sub.add_parser("spectral", help="algebraic connectivity and the spectral bound", allow_abbrev=False)
-    _add_common(p, candidates=False, seconds=False)
+    p = sub.add_parser("spectral", help="algebraic connectivity and the spectral bound")
+    _add_common(p, budget=False)
     p.set_defaults(func=cmd_spectral)
 
-    p = sub.add_parser("reduce", help="v-reduced form of a divisor", allow_abbrev=False)
-    _add_common(p, candidates=False, seconds=False)
+    p = sub.add_parser("reduce", help="v-reduced form of a divisor")
+    _add_common(p, budget=False)
     p.add_argument("divisor", help="literal like 0:1,4:2 (empty string = zero divisor)")
     p.add_argument("--at", type=int, required=True, help="reduction vertex")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("rank", help="test rank >= r with a failure witness", allow_abbrev=False)
+    p = sub.add_parser("rank", help="test rank >= r with a failure witness")
     _add_common(p)
     p.add_argument("divisor")
     p.add_argument("--at-least", type=int, default=1)
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("gonality", help="exact gonality certificate", allow_abbrev=False)
+    p = sub.add_parser("gonality", help="exact gonality certificate")
     _add_common(p)
     p.add_argument("--max-degree", type=int, default=None)
     p.set_defaults(func=cmd_gonality)
 
-    p = sub.add_parser("bounds", help="full lower/upper bound report", allow_abbrev=False)
-    _add_common(p, candidates=False)
+    p = sub.add_parser("bounds", help="full lower/upper bound report")
+    _add_common(p)
     p.add_argument("--cheeger-cap", type=int, default=24)
     p.add_argument("--separator-cap", type=int, default=24)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("random", help="configuration-model experiment harness", allow_abbrev=False)
+    p = sub.add_parser("random", help="configuration-model experiment harness")
     _add_common(p, graph=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -419,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-graphs", default=None, help="write each sample as an edge list into this directory")
     p.set_defaults(func=cmd_random)
 
-    p = sub.add_parser("pappus-demo", help="end-to-end walkthrough on the Pappus graph", allow_abbrev=False)
+    p = sub.add_parser("pappus-demo", help="end-to-end walkthrough on the Pappus graph")
     _add_common(p, graph=False)
     p.set_defaults(func=cmd_pappus_demo)
 

@@ -93,7 +93,7 @@ def _scan_connected_subsets(g: Multigraph, max_size: int, visit, budget: SearchB
     """
     n = g.n
     adj_mask = _adjacency_masks(g)
-    tick = budget.meter("cheeger scan", budget.max_nodes).tick
+    tick = budget.meter("cheeger scan").tick
 
     def rec(mask: int, size: int, boundary: int, ext: int, banned: int):
         tick()
@@ -167,7 +167,7 @@ def cheeger_profile(
 
     Exact (enumerated) for n <= exact_cap; beyond the cap a deterministic
     greedy search returns upper bounds only, flagged exact=False.  The
-    exact scan raises BudgetExceededError when the node or time budget
+    exact scan raises BudgetExceededError when the step or time budget
     runs out: a partial scan bounds nothing.
     """
     if not g.is_connected():
@@ -287,7 +287,7 @@ def b_u(
     Branching: any valid separator must contain a vertex of every connected
     ((t+1))-subset it misses, so one such subset is located and each of its
     vertices tried in turn.  Pruning combines the incumbent with a packing
-    lower bound from vertex-disjoint violating subsets.  When the node or
+    lower bound from vertex-disjoint violating subsets.  When the step or
     time budget runs out, the incumbent is returned with optimal=False and
     the root packing bound as `lower_bound`.
     """
@@ -304,7 +304,7 @@ def b_u(
     subtree = [0] * g.n
     incumbent = _greedy_separator(g, adj, t)
     root_lb = _packing(adj, full, t, parent, subtree)[0]
-    tick = budget.meter("separator search", budget.max_nodes).tick
+    tick = budget.meter("separator search").tick
     visited: set[int] = set()
 
     def dfs(mask: int):

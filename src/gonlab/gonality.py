@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
-from gonlab.compositions import count_compositions
 from gonlab.divisor import Divisor
 from gonlab.graph import Multigraph, genus
 from gonlab.reduction import _positive_rank_obstruction, _reduced_divisors, _vertex_order
@@ -39,10 +38,9 @@ class GonalityBracket:
     reason: str
 
 
-def _search_level(g: Multigraph, degree: int, order, budget: SearchBudget):
+def _search_level(g: Multigraph, degree: int, order, tick):
     """Colex-least 0-reduced positive-rank divisor of the given degree with
     a chip on vertex 0, as chips, or None."""
-    tick = budget.meter("gonality search").tick
     for chips in _reduced_divisors(g, degree, tick):
         if _positive_rank_obstruction(g, chips, order, tick) is None:
             return chips
@@ -53,46 +51,33 @@ def exact_gonality(
     g: Multigraph,
     budget: SearchBudget = DEFAULT_BUDGET,
     max_degree: int | None = None,
-    upper: int | None = None,
 ) -> GonalityCertificate | GonalityBracket:
     """Smallest degree of a positive-rank divisor, with witness.
 
     Returns a certificate when the ascending search completes, or a bracket
-    when the candidate budget, time budget or `max_degree` cap stops it
-    first.  The reported witness is the colex-least 0-reduced divisor with
-    a chip on vertex 0 at the answer degree.
+    when the step cap or deadline of `budget` (one meter for the whole
+    search) or the `max_degree` cap stops it first.  The reported witness
+    is the colex-least 0-reduced divisor with a chip on vertex 0 at the
+    answer degree.
 
-    `upper` is a precomputed gonality upper bound (a bound report's
-    `upper`); when None, the genus bound and the complement of a greedy
-    independent set give one in linear time, so the whole budget goes to
-    the search.
+    The genus bound and the complement of a greedy independent set give
+    the upper end in linear time, so the whole budget goes to the search.
+    The search finds its witness at or below any valid upper bound.
     """
     if not g.is_connected():
         raise ValueError("gonality search requires a connected graph")
-    if upper is None:
-        upper = min(
-            genus_upper_bound(g),
-            max(1, complement_divisor(g, greedy_independent_set(g)).degree()),
-        )
+    upper = min(
+        genus_upper_bound(g),
+        max(1, complement_divisor(g, greedy_independent_set(g)).degree()),
+    )
     limit = upper if max_degree is None else min(upper, max_degree)
     order = _vertex_order(g)
-    tested = 0
+    tick = budget.meter("gonality search").tick
     for degree in range(1, limit + 1):
-        level_size = count_compositions(degree, g.n)
-        if tested + level_size > budget.max_candidates:
-            return GonalityBracket(
-                degree,
-                upper,
-                f"degree-{degree} level needs {level_size} candidates, "
-                f"{budget.max_candidates - tested} left in budget",
-            )
         try:
-            witness_chips = _search_level(g, degree, order, budget)
+            witness_chips = _search_level(g, degree, order, tick)
         except BudgetExceededError as exc:
-            return GonalityBracket(
-                degree, upper, f"time budget exhausted inside the degree-{degree} level: {exc}"
-            )
-        tested += level_size
+            return GonalityBracket(degree, upper, f"stopped inside the degree-{degree} level: {exc}")
         if witness_chips is not None:
             return GonalityCertificate(value=degree, witness=Divisor(g, witness_chips))
     # only reachable when max_degree capped the search below the upper bound
@@ -130,12 +115,12 @@ def max_independent_set(
 ) -> tuple[frozenset[int], bool]:
     """Branch-and-bound maximum independent set.
 
-    Returns (set, exact).  When the node or time budget runs out the best
+    Returns (set, exact).  When the step or time budget runs out the best
     set found so far is returned with exact=False; it is still independent,
     so any bound derived from it stays valid.
     """
     best = greedy_independent_set(g)
-    tick = budget.meter("independent set search", budget.max_nodes).tick
+    tick = budget.meter("independent set search").tick
 
     def expand(cand: frozenset[int], picked: tuple[int, ...]):
         nonlocal best

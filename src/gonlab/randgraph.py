@@ -188,7 +188,7 @@ def _evaluate_sample(
     gonality = sandwich = None
     status = "capped"
     if in_cap:
-        result = exact_gonality(g, budget, upper=report.upper)
+        result = exact_gonality(g, budget)
         status = "budget"
         if isinstance(result, GonalityCertificate):
             gonality, status = result.value, "certified"
@@ -221,9 +221,9 @@ def run_experiment(
     """Evaluate the bound pipeline over `samples` independent draws.
 
     Records come back ordered by sample index whatever the thread count,
-    so output is reproducible byte for byte.  The candidate and node caps
-    of `budget` apply to each sample; its deadline, an absolute time,
-    applies to the whole run.
+    so output is reproducible byte for byte.  The step cap of `budget`
+    applies to each sample; its deadline, an absolute time, applies to
+    the whole run.
     """
     if samples < 0:
         raise ValueError("sample count must be non-negative")

@@ -23,8 +23,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
-from gonlab.compositions import compositions_colex, count_compositions
+from gonlab.budget import DEFAULT_BUDGET, SearchBudget
+from gonlab.compositions import compositions_colex
 from gonlab.divisor import Divisor
 from gonlab.graph import Multigraph
 
@@ -261,7 +261,8 @@ def find_rank_obstruction(
 
     Returns None when d has rank at least r.  E candidates are enumerated
     in ascending colex order, so the reported witness is deterministic and
-    the first failure found is the colex-smallest one.
+    the first failure found is the colex-smallest one.  Raises
+    BudgetExceededError when the budget stops the test first.
     """
     if r < 0:
         raise ValueError("rank threshold must be non-negative")
@@ -270,11 +271,6 @@ def find_rank_obstruction(
         raise ValueError("rank test requires a connected graph")
     if d.degree() < r:
         return Divisor(g, (r,) + (0,) * (g.n - 1))
-    total = count_compositions(r, g.n)
-    if total > budget.max_candidates:
-        raise BudgetExceededError(
-            f"rank test needs {total} subtrahend divisors, cap is {budget.max_candidates}"
-        )
     base = list(d.chips)
     tick = budget.meter("rank test").tick
     for e in compositions_colex(r, g.n):

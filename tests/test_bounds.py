@@ -101,7 +101,7 @@ def test_separator_grid_bound_simple_cases():
 
 def test_separator_grid_refuses_non_optimal(pappus):
     profile = cheeger_profile(pappus)
-    cert = b_u(pappus, Fraction(9, 18), SearchBudget(max_nodes=3))
+    cert = b_u(pappus, Fraction(9, 18), SearchBudget(max_steps=3))
     assert not cert.optimal
     with pytest.raises(ValueError):
         separator_grid_bound(pappus, profile, {9: cert})
@@ -216,7 +216,7 @@ def test_full_report_above_cheeger_cap_notes_skipped_scan():
 
 
 def test_full_report_cheeger_budget_is_partial_not_fatal(pappus):
-    report = full_report(pappus, SearchBudget(max_nodes=50))
+    report = full_report(pappus, SearchBudget(max_steps=50))
     assert report.budget_limited
     assert not report.profile_exact
     assert report.rows == ()
@@ -233,9 +233,3 @@ def test_full_report_without_upper_bounds():
     assert lower_only.upper_genus is None and lower_only.upper_independence is None
     assert lower_only.lower == full.lower
     assert lower_only.rows == full.rows
-
-
-def test_exact_gonality_accepts_report_upper(corpus):
-    for g in corpus[:10]:
-        report = full_report(g)
-        assert exact_gonality(g, upper=report.upper) == exact_gonality(g)

@@ -120,6 +120,21 @@ def test_bounds_command(capsys):
     assert payload["budget_limited"] is False
 
 
+def test_bounds_single_vertex(capsys):
+    """One vertex has no cut and no λ2: the report skips both stages and
+    the upper bounds close the bracket at 1."""
+    code, payload = run_json(capsys, "bounds", "path:1")
+    assert code == 0
+    assert payload["rows"] == [] and payload["spectral"] is None
+    assert (payload["lower"], payload["upper"]) == (1, 1)
+
+
+@pytest.mark.parametrize("command", ["spectral", "cheeger"])
+def test_single_vertex_spectral_and_cheeger_are_input_errors(command, capsys):
+    assert main([command, "path:1"]) == 1
+    assert "2 vertices" in capsys.readouterr().err
+
+
 def test_malformed_file_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 1\n0 0\n")
@@ -234,8 +249,8 @@ def test_budget_seconds_env(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "flag, env",
-    [("--budget", None), ("--budget-seconds", None), (None, "GONLAB_BUDGET_CANDIDATES"), (None, "GONLAB_BUDGET_SECONDS")],
-    ids=["flag-candidates", "flag-seconds", "env-candidates", "env-seconds"],
+    [("--budget", None), ("--budget-seconds", None), (None, "GONLAB_BUDGET_STEPS"), (None, "GONLAB_BUDGET_SECONDS")],
+    ids=["flag-steps", "flag-seconds", "env-steps", "env-seconds"],
 )
 def test_zero_budget_is_a_cap(capsys, monkeypatch, flag, env):
     if env:
@@ -258,9 +273,11 @@ def test_random_honours_budget(capsys):
 
 
 def test_random_above_gonality_cap_is_capped_not_stopped(capsys):
+    """No search runs (the Cheeger cap skips the scan and the separators),
+    so a zero step cap stops nothing."""
     code, payload = run_json(
         capsys, "random", "--k", "3", "--n", "8", "--samples", "4", "--seed", "7", "--budget", "0",
-        "--gonality-cap", "6",
+        "--gonality-cap", "6", "--cheeger-cap", "0",
     )
     assert code == 0
     assert len(payload["records"]) == 4
@@ -268,21 +285,28 @@ def test_random_above_gonality_cap_is_capped_not_stopped(capsys):
     assert all(r["gonality_status"] == "capped" for r in payload["records"])
 
 
-def test_random_reports_budget_limited_bound_report(capsys, monkeypatch):
-    monkeypatch.setenv("GONLAB_BUDGET_NODES", "50")
-    code, payload = run_json(capsys, "random", "--k", "3", "--n", "10", "--samples", "2", "--seed", "4")
+def test_random_reports_budget_limited_bound_report(capsys):
+    code, payload = run_json(
+        capsys, "random", "--k", "3", "--n", "10", "--samples", "2", "--seed", "4", "--budget", "50"
+    )
     assert code == 2
     assert [r["budget_limited"] for r in payload["records"]] == [True, True]
-    assert all(r["gonality_status"] == "certified" for r in payload["records"])
 
 
-def test_bounds_cheeger_budget_gives_partial_report(capsys, monkeypatch):
-    monkeypatch.setenv("GONLAB_BUDGET_NODES", "50")
-    code, payload = run_json(capsys, "bounds", "pappus")
+def test_bounds_cheeger_budget_gives_partial_report(capsys):
+    code, payload = run_json(capsys, "bounds", "pappus", "--budget", "50")
     assert code == 2
     assert payload["budget_limited"] is True
     assert payload["rows"] == []
     assert payload["lower"] <= 6 <= payload["upper"]
+
+
+def test_gonality_step_cap_counts_steps(capsys):
+    """The cap counts search steps, not the compositions of a level: the
+    degree-2 witness of cycle:60 takes 60 steps."""
+    code, payload = run_json(capsys, "gonality", "cycle:60", "--budget", "500")
+    assert code == 0
+    assert payload["gonality"] == 2
 
 
 @pytest.mark.parametrize(
@@ -291,6 +315,18 @@ def test_bounds_cheeger_budget_gives_partial_report(capsys, monkeypatch):
         ("cheeger", "k4", "--budget", "0"),
         ("bu", "cycle:8", "--u", "1/4", "--budget", "0"),
         ("bounds", "pappus", "--budget", "0"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_budget_flag_accepted(argv):
+    """The step cap reaches the Cheeger scan, the separator search and the
+    independent-set search."""
+    assert build_parser().parse_args(argv).budget == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("spectral", "pappus", "--budget", "0"),
         ("spectral", "pappus", "--budget-seconds", "0"),
         ("reduce", "k4", "0:1", "--at", "0", "--budget", "0"),
@@ -299,9 +335,7 @@ def test_bounds_cheeger_budget_gives_partial_report(capsys, monkeypatch):
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
 def test_budget_flags_only_where_read(argv, capsys):
-    """A command offers only the budget flags its engines read: the
-    candidate cap is read by the gonality search and the rank test alone,
-    and `spectral` and `reduce` read no budget."""
+    """`spectral` and `reduce` run no search, so they offer no budget flag."""
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2

@@ -119,7 +119,7 @@ def test_heuristic_mode_flags_upper_bounds():
 
 def test_cheeger_budget_exhaustion():
     with pytest.raises(BudgetExceededError):
-        cheeger_profile(named_graph("pappus"), SearchBudget(max_nodes=50))
+        cheeger_profile(named_graph("pappus"), SearchBudget(max_steps=50))
 
 
 def test_b_u_path5():
@@ -169,7 +169,7 @@ def test_b_u_rejects_bad_u():
 
 
 def test_b_u_budget_returns_bracket(pappus):
-    cert = b_u(pappus, Fraction(9, 18), SearchBudget(max_nodes=3))
+    cert = b_u(pappus, Fraction(9, 18), SearchBudget(max_steps=3))
     assert not cert.optimal
     assert cert.lower_bound <= cert.size
     comps = components(pappus, cert.separator)

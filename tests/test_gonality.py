@@ -93,7 +93,7 @@ def test_pappus_rank_tests_count(pappus, monkeypatch):
 
 
 def test_budget_exhaustion_returns_bracket(pappus):
-    result = exact_gonality(pappus, SearchBudget(max_candidates=100))
+    result = exact_gonality(pappus, SearchBudget(max_steps=100))
     assert isinstance(result, GonalityBracket)
     assert result.lower >= 1
     assert result.upper == 9
@@ -174,8 +174,8 @@ def test_max_independent_set_honours_deadline():
 
 
 def test_exact_gonality_deadline_goes_to_the_search():
-    """Without `upper=`, the upper bound must not spend the deadline before
-    degree 1: the exact independent set of cycle:60 alone takes minutes."""
+    """The upper bound must not spend the deadline before degree 1: the
+    exact independent set of cycle:60 alone takes minutes."""
     start = time.monotonic()
     result = exact_gonality(named_graph("cycle:60"), SearchBudget.with_seconds(3))
     assert time.monotonic() - start < 1

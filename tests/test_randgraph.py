@@ -119,7 +119,7 @@ def test_disconnected_samples_skipped_not_fatal():
 
 def test_cheeger_budget_does_not_abort_experiment():
     params = ConfigModelParams(k=3, n=18, seed=4)
-    records, summary = run_experiment(params, 3, budget=SearchBudget(max_nodes=50))
+    records, summary = run_experiment(params, 3, budget=SearchBudget(max_steps=50))
     assert summary.samples == 3
     for r in records:
         if r.connected:

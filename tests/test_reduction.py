@@ -232,7 +232,10 @@ def test_rank_obstruction_is_reported():
 
 
 def test_rank_budget_cap():
+    """K6 has genus 10, so a degree-24 divisor has rank 24 - 10 = 14: the
+    test must try all 252 subtrahends of degree 5, and 10 steps stop it."""
     g = complete_graph(6)
-    d = Divisor(g, (9,) + (0,) * 5)
+    d = Divisor(g, (24,) + (0,) * 5)
+    assert rank_at_least(d, 5)
     with pytest.raises(BudgetExceededError):
-        rank_at_least(d, 5, SearchBudget(max_candidates=10))
+        rank_at_least(d, 5, SearchBudget(max_steps=10))
