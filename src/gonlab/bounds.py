@@ -193,8 +193,12 @@ def full_report(
 
     separators: dict[int, SeparatorCertificate] = {}
     if profile is not None and g.n <= separator_cap:
+        # the points run up the grid, so each separator is valid for the next
+        # point; a budget stop returns a valid incumbent with optimal=False
+        seed: frozenset[int] = frozenset()
         for point in profile.points:
-            cert = b_u(g, point.u, budget)  # a budget stop returns optimal=False
+            cert = b_u(g, point.u, budget, seed=seed)
+            seed = cert.separator
             if cert.optimal:
                 separators[point.j] = cert
             else:

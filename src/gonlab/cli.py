@@ -9,6 +9,7 @@ parsed output reproduces it byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -359,6 +360,7 @@ def _add_common(parser: argparse.ArgumentParser, graph: bool = True, budget: boo
         parser.add_argument("--budget-seconds", type=float, default=None, help="wall clock cap")
 
 
+@functools.cache  # built on first use, then shared by every call of `main`
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gonlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -89,10 +89,19 @@ def _scan_connected_subsets(g: Multigraph, max_size: int, visit, budget: SearchB
     using only larger vertices, branching on include/exclude of one
     extension candidate at a time.  Boundary sizes are maintained
     incrementally: adding w changes the boundary by val(w) minus twice the
-    multiplicity from w into the current subset.
+    multiplicity from w into the current subset.  That multiplicity is a sum
+    of popcounts over layers[w], where layer i holds the neighbours joined
+    to w by more than i parallel edges.
     """
     n = g.n
     adj_mask = _adjacency_masks(g)
+    layers = [
+        [
+            sum(1 << x for x, mult in g.neighbors(w) if mult > i)
+            for i in range(max((mult for _, mult in g.neighbors(w)), default=0))
+        ]
+        for w in range(n)
+    ]
     tick = budget.meter("cheeger scan").tick
 
     def rec(mask: int, size: int, boundary: int, ext: int, banned: int):
@@ -103,7 +112,7 @@ def _scan_connected_subsets(g: Multigraph, max_size: int, visit, budget: SearchB
         while ext:
             w = (ext & -ext).bit_length() - 1
             ext &= ext - 1
-            into = sum(mult for x, mult in g.neighbors(w) if (mask >> x) & 1)
+            into = sum((layer & mask).bit_count() for layer in layers[w])
             new_mask = mask | (1 << w)
             new_ext = (ext | (adj_mask[w] & allowed & ~banned)) & ~new_mask
             rec(new_mask, size + 1, boundary + g.val(w) - 2 * into, new_ext, banned)
@@ -279,17 +288,33 @@ def _greedy_separator(g: Multigraph, adj: list[int], t: int) -> int:
 
 
 def b_u(
-    g: Multigraph, u: Fraction, budget: SearchBudget = DEFAULT_BUDGET
+    g: Multigraph,
+    u: Fraction,
+    budget: SearchBudget = DEFAULT_BUDGET,
+    seed: frozenset[int] = frozenset(),
 ) -> SeparatorCertificate:
     """Minimum-size vertex set whose removal leaves only components of size
     <= u*n, by branch and bound on violating connected subsets.
 
     Branching: any valid separator must contain a vertex of every connected
-    ((t+1))-subset it misses, so one such subset is located and each of its
-    vertices tried in turn.  Pruning combines the incumbent with a packing
-    lower bound from vertex-disjoint violating subsets.  When the step or
-    time budget runs out, the incumbent is returned with optimal=False and
-    the root packing bound as `lower_bound`.
+    (t+1)-subset it misses, so one such subset, the witness, is located and
+    its vertices w_1, w_2, ... (valence descending, then index) are tried in
+    turn.  Branch i removes w_i and keeps w_1 ... w_{i-1}: they may not be
+    removed anywhere below it.  This exclusion branching visits every
+    removed set at most once and loses no separator: a valid separator
+    S containing the removed set hits the witness, and the first witness
+    vertex in S names the one branch whose subtree holds S.  A witness whose
+    vertices are all kept therefore ends its node.  Pruning combines the
+    incumbent with a packing lower bound from vertex-disjoint violating
+    subsets, which holds whatever is kept.
+
+    The incumbent starts as the greedy separator, or as `seed` when that is
+    strictly smaller.  A seed must be a valid separator (ValueError
+    otherwise); the empty seed means none.  Since a separator for a smaller
+    u stays valid for a larger one, a sweep up the u-grid can pass each
+    optimum on as the next seed.  When the step or time budget runs out,
+    the incumbent is returned with optimal=False and the root packing bound
+    as `lower_bound`.
     """
     u = Fraction(u)
     if not (0 < u <= Fraction(1, 2)):
@@ -303,16 +328,20 @@ def b_u(
     parent = [0] * g.n
     subtree = [0] * g.n
     incumbent = _greedy_separator(g, adj, t)
+    if seed:
+        if not all(0 <= v < g.n for v in seed):
+            raise ValueError("seed vertex out of range")
+        seed_mask = sum(1 << v for v in seed)
+        if _packing(adj, full & ~seed_mask, t, parent, subtree)[1] is not None:
+            raise ValueError(f"seed leaves a component larger than {t}")
+        if seed_mask.bit_count() < incumbent.bit_count():
+            incumbent = seed_mask
     root_lb = _packing(adj, full, t, parent, subtree)[0]
     tick = budget.meter("separator search").tick
-    visited: set[int] = set()
 
-    def dfs(mask: int):
+    def dfs(mask: int, kept: int):
         nonlocal incumbent
         tick()
-        if mask in visited:
-            return
-        visited.add(mask)
         count, witness = _packing(adj, full & ~mask, t, parent, subtree)
         if mask.bit_count() + count >= incumbent.bit_count():
             return
@@ -320,10 +349,13 @@ def b_u(
             incumbent = mask  # strictly smaller: the prune above passed
             return
         for w in sorted(witness, key=lambda v: (-g.val(v), v)):
-            dfs(mask | (1 << w))
+            bit = 1 << w
+            if not kept & bit:
+                dfs(mask | bit, kept)
+                kept |= bit
 
     try:
-        dfs(0)
+        dfs(0, 0)
         optimal = True
     except BudgetExceededError:
         optimal = False

@@ -203,6 +203,14 @@ def test_full_report_sandwich(corpus):
         assert report.lower <= result.value <= report.upper
 
 
+def test_full_report_seeded_rows_match_unseeded_separators(corpus):
+    """The report seeds each grid point with the previous point's separator;
+    the sizes it records are those of independent unseeded searches."""
+    for g in corpus[:20]:
+        report = full_report(g, upper_bounds=False)
+        assert [r.separator_size for r in report.rows] == [b_u(g, r.u).size for r in report.rows]
+
+
 def test_full_report_above_cheeger_cap_notes_skipped_scan():
     g = named_graph("pappus")
     report = full_report(g, exact_cheeger_cap=10)

@@ -3,12 +3,12 @@ step cap or deadline of 0 stops it at its first step.
 
 Each deadline input needs well over three times the deadline without a
 budget (2-core x86-64, Python 3.11: K20 Cheeger scan 2.8 s, separator
-2.5 s, independent set on cycle:120 over 55 s, gonality search on a
-quartic n=18 10.9 s, cycle:300 gonality search 1.8 s, nearly all of it
-the rank test of its first degree-2 candidate, which is the witness, rank
-test on path:800 2.3 s).  A call must come back within the
-deadline plus one second, either flagged as incomplete or by raising
-BudgetExceededError.
+search on a quartic n=32 at u=10/32 3-4 s, independent set on cycle:120
+over 55 s, gonality search on a quartic n=18 10.9 s, cycle:300 gonality
+search 1.8 s, nearly all of it the rank test of its first degree-2
+candidate, which is the witness, rank test on path:800 2.3 s).  A call
+must come back within the deadline plus one second, either flagged as
+incomplete or by raising BudgetExceededError.
 """
 
 import time
@@ -50,7 +50,7 @@ ENGINES = {
         _never_partial,  # an exact profile never returns partial
     ),
     "b_u": (
-        lambda budget: b_u(_quartic(24), Fraction(7, 24), budget),
+        lambda budget: b_u(_quartic(32), Fraction(10, 32), budget),
         lambda cert: not cert.optimal,
     ),
     "max_independent_set": (

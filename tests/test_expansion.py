@@ -138,11 +138,22 @@ def test_b_u_complete_graphs():
 
 
 def test_b_u_matches_brute_force(corpus):
-    for g in [x for x in corpus if x.n <= 9][:10]:
+    """Unseeded, and seeded by the previous grid point's separator (as the
+    bound report sweeps) or by the valid but poor set of all vertices but
+    one: a seed changes where the search starts, never the optimum."""
+    for g in [x for x in corpus if x.n <= 9]:
+        previous = frozenset()
         for j in range(1, g.n // 2 + 1):
-            cert = b_u(g, Fraction(j, g.n))
-            assert cert.optimal
-            assert cert.size == brute_b_u(g, j), (g.edges, j)
+            u = Fraction(j, g.n)
+            expected = brute_b_u(g, j)
+            for seed in (frozenset(), previous, frozenset(range(1, g.n))):
+                cert = b_u(g, u, seed=seed)
+                assert cert.optimal
+                assert cert.size == expected, (g.edges, j, sorted(seed))
+                comps = components(g, cert.separator)
+                assert cert.component_sizes == tuple(sorted((len(c) for c in comps), reverse=True))
+                assert all(len(c) <= j for c in comps)
+            previous = b_u(g, u, seed=previous).separator
 
 
 def test_b_u_certificate_components_verified(corpus):
@@ -152,6 +163,25 @@ def test_b_u_certificate_components_verified(corpus):
         comps = components(g, cert.separator)
         assert all(len(c) <= cert.max_component for c in comps)
         assert cert.component_sizes == tuple(sorted((len(c) for c in comps), reverse=True))
+
+
+def test_b_u_rejects_invalid_seed(pappus):
+    u = Fraction(9, 18)
+    valid = b_u(pappus, u).separator
+    with pytest.raises(ValueError, match="component larger"):
+        b_u(pappus, u, seed=frozenset({0}))
+    with pytest.raises(ValueError, match="component larger"):
+        b_u(pappus, u, seed=valid - {min(valid)})
+    with pytest.raises(ValueError, match="out of range"):
+        b_u(pappus, u, seed=valid | {18})
+
+
+def test_b_u_pappus_half_within_step_guard(pappus):
+    """Work-count guard: exclusion branching proves u=1/2 on Pappus in
+    about 4,100 steps; the search that re-ticked duplicate removed sets
+    needed 18,691."""
+    cert = b_u(pappus, Fraction(9, 18), SearchBudget(max_steps=5000))
+    assert cert.optimal
 
 
 def test_b_u_monotone_decreasing_in_u(pappus):
