@@ -25,16 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
-from gonlab.expansion import (
-    DEFAULT_EXACT_CHEEGER_CAP,
-    CheegerProfile,
-    SeparatorCertificate,
-    b_u,
-    cheeger_profile,
-)
+from gonlab.expansion import CheegerProfile, SeparatorCertificate, b_u, cheeger_profile
 from gonlab.gonality import genus_upper_bound, independence_upper_bound
 from gonlab.graph import Multigraph, genus
 from gonlab.spectral import SpectralBound, gonality_bound_bracket, spectral_gonality_bound
+
+DEFAULT_EXACT_CHEEGER_CAP = 24
+"""Largest n at which `full_report` runs the Cheeger scan and the separators."""
 
 
 def separator_grid_bound(
@@ -46,13 +43,11 @@ def separator_grid_bound(
 
     B_u decreases in u while h*u*n increases, so the maximum sits at their
     crossing; the smallest maximizing grid point is reported.  Refuses
-    heuristic profiles and non-optimal separator certificates: an upper
-    bound on either invariant is not a valid gonality lower bound.
+    non-optimal separator certificates: an upper bound on B_u is not a
+    valid gonality lower bound.
     """
     if profile.n != g.n:
         raise ValueError("profile belongs to a different graph")
-    if not profile.exact:
-        raise ValueError("separator grid bound needs an exact cheeger profile")
     h = profile.h
     best: tuple[Fraction, Fraction] | None = None
     for point in profile.points:
@@ -76,8 +71,6 @@ def cheeger_grid_bound(g: Multigraph, profile: CheegerProfile) -> tuple[Fraction
         raise ValueError("cheeger grid bound applies to regular graphs only")
     if profile.n != g.n:
         raise ValueError("profile belongs to a different graph")
-    if not profile.exact:
-        raise ValueError("cheeger grid bound needs an exact cheeger profile")
     h = profile.h
     best: tuple[Fraction, Fraction] | None = None
     for point in profile.points:
@@ -130,14 +123,14 @@ class GridRow:
 @dataclass(frozen=True)
 class BoundReport:
     """Everything known about gon(G) from the bound pipelines.  `rows` is
-    empty without an exact Cheeger profile; the upper fields are None when
-    the upper-bound stage was skipped."""
+    empty when the Cheeger scan was skipped by the size cap or stopped by
+    the budget; the upper fields are None when the upper-bound stage was
+    skipped."""
 
     n: int
     m: int
     k: int | None
     genus: int
-    profile_exact: bool
     rows: tuple[GridRow, ...]
     separator_bound: tuple[Fraction, Fraction] | None
     cheeger_bound: tuple[Fraction, Fraction] | None
@@ -186,7 +179,7 @@ def full_report(
         )
     elif g.n >= 2:
         try:
-            profile = cheeger_profile(g, budget, exact_cap=exact_cheeger_cap)
+            profile = cheeger_profile(g, budget)
         except BudgetExceededError as exc:
             notes.append(f"cheeger scan exhausted budget: {exc}; grid bounds skipped")
             budget_limited = True
@@ -267,7 +260,6 @@ def full_report(
         m=g.m,
         k=k,
         genus=gen,
-        profile_exact=profile is not None,
         rows=tuple(rows),
         separator_bound=sep_bound,
         cheeger_bound=cheeger_bound,

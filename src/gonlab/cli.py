@@ -1,9 +1,10 @@
 """Command line front end: ``gonlab <subcommand> ...``.
 
-Exit codes: 0 success, 1 input error, 2 budget exhaustion (partial output
-was still emitted).  JSON output is canonical: keys sorted, compact
-separators, exact rationals rendered as "p/q" strings; re-serializing the
-parsed output reproduces it byte for byte.
+Exit codes: 0 success, 1 input error, 2 budget exhaustion (a partial
+answer is still emitted where the command has one).  JSON output is
+canonical: keys sorted, compact separators, exact rationals rendered as
+"p/q" strings; re-serializing the parsed output reproduces it byte for
+byte.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
-from gonlab.bounds import BoundReport, full_report
+from gonlab.bounds import DEFAULT_EXACT_CHEEGER_CAP, BoundReport, full_report
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
 from gonlab.divisor import format_divisor, parse_divisor
 from gonlab.expansion import b_u, cheeger_profile
@@ -110,7 +111,6 @@ def build_budget(args) -> SearchBudget:
 def _profile_payload(profile) -> dict:
     return {
         "n": profile.n,
-        "exact": profile.exact,
         "h": profile.h,
         "points": [
             {"j": p.j, "u": p.u, "h_u": p.value, "witness": p.witness}
@@ -121,7 +121,7 @@ def _profile_payload(profile) -> dict:
 
 def cmd_cheeger(args) -> int:
     g = resolve_graph(args.graph)
-    profile = cheeger_profile(g, build_budget(args), exact_cap=args.exact_max_n)
+    profile = cheeger_profile(g, build_budget(args))
     emit(_profile_payload(profile), args.format)
     return EXIT_OK
 
@@ -242,7 +242,6 @@ def _report_payload(report: BoundReport) -> dict:
         "m": report.m,
         "k": report.k,
         "genus": report.genus,
-        "profile_exact": report.profile_exact,
         "rows": [
             {
                 "j": r.j,
@@ -367,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cheeger", help="exact u-Cheeger profile over the grid")
     _add_common(p)
-    p.add_argument("--exact-max-n", type=int, default=24)
     p.set_defaults(func=cmd_cheeger)
 
     p = sub.add_parser("bu", help="minimum separator leaving components of size <= u*n")
@@ -398,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="full lower/upper bound report")
     _add_common(p)
-    p.add_argument("--cheeger-cap", type=int, default=24)
-    p.add_argument("--separator-cap", type=int, default=24)
+    p.add_argument("--cheeger-cap", type=int, default=DEFAULT_EXACT_CHEEGER_CAP)
+    p.add_argument("--separator-cap", type=int, default=DEFAULT_EXACT_CHEEGER_CAP)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("random", help="configuration-model experiment harness")
@@ -409,9 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("multigraph", "simple"), default="multigraph")
-    p.add_argument("--gonality-cap", type=int, default=12)
-    p.add_argument("--cheeger-cap", type=int, default=20)
-    p.add_argument("--separator-cap", type=int, default=16)
+    caps = ExperimentCaps()
+    p.add_argument("--gonality-cap", type=int, default=caps.gonality_cap)
+    p.add_argument("--cheeger-cap", type=int, default=caps.cheeger_cap)
+    p.add_argument("--separator-cap", type=int, default=caps.separator_cap)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--emit-graphs", default=None, help="write each sample as an edge list into this directory")
     p.set_defaults(func=cmd_random)

@@ -48,13 +48,6 @@ class Divisor:
     def degree(self) -> int:
         return sum(self.chips)
 
-    def is_effective(self) -> bool:
-        return all(c >= 0 for c in self.chips)
-
-    def support(self) -> frozenset[int]:
-        """Vertices with positive chip count (meaningful for effective divisors)."""
-        return frozenset(v for v, c in enumerate(self.chips) if c > 0)
-
     def add(self, other: "Divisor") -> "Divisor":
         self._check_same_graph(other)
         return Divisor(self.graph, tuple(a + b for a, b in zip(self.chips, other.chips)))

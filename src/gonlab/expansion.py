@@ -20,8 +20,6 @@ from fractions import Fraction
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
 from gonlab.graph import Multigraph, components
 
-DEFAULT_EXACT_CHEEGER_CAP = 24
-
 
 @dataclass(frozen=True)
 class CheegerPoint:
@@ -35,15 +33,9 @@ class CheegerPoint:
 
 @dataclass(frozen=True)
 class CheegerProfile:
-    """The map u -> h_u(G) over the grid, with witnesses.
-
-    `exact` distinguishes the enumerated profile from the heuristic
-    (local-search) one, which yields upper bounds on h_u only and is
-    refused by every consumer that needs true lower bounds.
-    """
+    """The exact map u -> h_u(G) over the grid, with witnesses."""
 
     n: int
-    exact: bool
     points: tuple[CheegerPoint, ...]
 
     @property
@@ -132,83 +124,39 @@ def _mask_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _heuristic_best_by_size(g: Multigraph, max_size: int):
-    """Greedy local search: deterministic boundary-minimizing growth from
-    every start vertex.  Produces upper bounds on the per-size optima, as
-    size -> (boundary, mask)."""
-    best: dict[int, tuple[int, int]] = {}
+def cheeger_profile(g: Multigraph, budget: SearchBudget = DEFAULT_BUDGET) -> CheegerProfile:
+    """Exact h_u over the full grid {j/n : 1 <= j <= n//2}, at any n.
 
-    def consider(mask, size, boundary):
-        cur = best.get(size)
-        if cur is None or boundary < cur[0]:
-            best[size] = (boundary, mask)
-
-    for start in range(g.n):
-        mask = 1 << start
-        boundary = g.val(start)
-        consider(mask, 1, boundary)
-        for size in range(2, max_size + 1):
-            cand = None
-            for v in range(g.n):
-                if (mask >> v) & 1:
-                    for w, _ in g.neighbors(v):
-                        if not (mask >> w) & 1:
-                            into = sum(
-                                mult for x, mult in g.neighbors(w) if (mask >> x) & 1
-                            )
-                            delta = g.val(w) - 2 * into
-                            if cand is None or (delta, w) < cand:
-                                cand = (delta, w)
-            if cand is None:
-                break
-            boundary += cand[0]
-            mask |= 1 << cand[1]
-            consider(mask, size, boundary)
-    return best
-
-
-def cheeger_profile(
-    g: Multigraph,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    exact_cap: int = DEFAULT_EXACT_CHEEGER_CAP,
-) -> CheegerProfile:
-    """h_u over the full grid {j/n : 1 <= j <= n//2}.
-
-    Exact (enumerated) for n <= exact_cap; beyond the cap a deterministic
-    greedy search returns upper bounds only, flagged exact=False.  The
-    exact scan raises BudgetExceededError when the step or time budget
-    runs out: a partial scan bounds nothing.
+    The connected-subset scan has no size cap; it raises
+    BudgetExceededError when the step or time budget runs out, since a
+    partial scan bounds nothing.
     """
     if not g.is_connected():
         raise ValueError("cheeger profile requires a connected graph")
     if g.n < 2:
         raise ValueError("cheeger profile needs at least 2 vertices")
     half = g.n // 2
-    exact = g.n <= exact_cap
-    if exact:
-        best: dict[int, tuple[int, int]] = {}
+    best: dict[int, tuple[int, int]] = {}
 
-        # Within one size the least boundary is the least ratio, and among
-        # equal sizes the set holding the lowest bit of mask ^ cur has the
-        # lexicographically smaller sorted tuple.
-        def visit(mask, size, boundary):
-            cur = best.get(size)
-            if cur is None or boundary < cur[0] or (
-                boundary == cur[0] and (d := mask ^ cur[1]) & -d & mask
-            ):
-                best[size] = (boundary, mask)
+    # Within one size the least boundary is the least ratio, and among
+    # equal sizes the set holding the lowest bit of mask ^ cur has the
+    # lexicographically smaller sorted tuple.
+    def visit(mask, size, boundary):
+        cur = best.get(size)
+        if cur is None or boundary < cur[0] or (
+            boundary == cur[0] and (d := mask ^ cur[1]) & -d & mask
+        ):
+            best[size] = (boundary, mask)
 
-        _scan_connected_subsets(g, half, visit, budget)
-    else:
-        best = _heuristic_best_by_size(g, half)
+    _scan_connected_subsets(g, half, visit, budget)
 
+    # a connected graph has connected subsets of every size, so best[j] exists
     points = []
     running: tuple[Fraction, int] | None = None
     for j in range(1, half + 1):
-        if j in best:
-            boundary, mask = best[j]
-            if running is None or Fraction(boundary, j) < running[0]:
-                running = (Fraction(boundary, j), mask)
+        boundary, mask = best[j]
+        if running is None or Fraction(boundary, j) < running[0]:
+            running = (Fraction(boundary, j), mask)
         points.append(
             CheegerPoint(
                 j=j,
@@ -217,7 +165,7 @@ def cheeger_profile(
                 witness=frozenset(_mask_tuple(running[1])),
             )
         )
-    return CheegerProfile(n=g.n, exact=exact, points=tuple(points))
+    return CheegerProfile(n=g.n, points=tuple(points))
 
 
 def _bfs_components(adj: list[int], free: int, parent: list[int]):

@@ -128,24 +128,6 @@ def algebraic_connectivity(g: Multigraph) -> SpectralSummary:
     )
 
 
-def separator_lower_bound(size_a: int, size_b: int, lambda2: float, d: int, n: int) -> float:
-    """Minimum size of a set separating sides of the given sizes:
-    4*lambda2*|A|*|B| / (d*n - lambda2*|A u B|).
-    """
-    if size_a < 1 or size_b < 1:
-        raise ValueError("both sides must be non-empty")
-    if size_a + size_b > n:
-        raise ValueError("sides exceed the vertex count")
-    if lambda2 <= 0:
-        raise ValueError("lambda2 must be positive")
-    denom = d * n - lambda2 * (size_a + size_b)
-    if denom <= 0:
-        raise ValueError(
-            f"non-positive denominator {denom}; lambda2={lambda2} too large for valence {d}"
-        )
-    return 4.0 * lambda2 * size_a * size_b / denom
-
-
 def gonality_bound_bracket(lam: Fraction, d: int, n: int) -> tuple[Fraction, Fraction]:
     """Rationals lower <= f(lam) <= upper for the spectral gonality bound
 

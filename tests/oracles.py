@@ -2,7 +2,7 @@
 
 Everything here recomputes quantities from first definitions, avoiding the
 production code paths it is used to check: linear equivalence through
-Smith-normal-form lattice membership (not reduced forms), rank through
+integral solvability of the reduced Laplacian system (not reduced forms), rank through
 exhaustive enumeration of equivalent effective divisors (not burning),
 reducedness through a burning loop written from the definition (not
 `gonlab.reduction`),
@@ -17,85 +17,53 @@ Only small graphs are in scope; nothing here needs to be fast.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from gonlab.graph import Multigraph, components, laplacian
 
 
-def smith_with_left(mat: list[list[int]]):
-    """Smith normal form D = U*M*V over the integers; returns (diag(D), U).
-
-    Only the left transform is tracked: membership of b in the column
-    lattice of M is equivalent to solvability of D z = U b, i.e. to the
-    divisibility of (U b)_i by D_ii (with zero diagonal forcing zero).
-    """
-    a = [row[:] for row in mat]
-    nrows, ncols = len(a), len(a[0])
-    left = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-
-    def add_row(i, j, c):
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        left[i] = [x + c * y for x, y in zip(left[i], left[j])]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def add_col(i, j, c):
-        for row in a:
-            row[i] += c * row[j]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(nrows, ncols):
-        piv = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nrows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        t += 1
-    return [a[i][i] if i < ncols else 0 for i in range(nrows)], left
+def _inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of a nonsingular rational matrix by Gauss-Jordan elimination."""
+    n = len(mat)
+    a = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
+    for t in range(n):
+        piv = next(i for i in range(t, n) if a[i][t] != 0)
+        a[t], a[piv] = a[piv], a[t]
+        a[t] = [x / a[t][t] for x in a[t]]
+        for i in range(n):
+            if i != t and a[i][t] != 0:
+                a[i] = [x - a[i][t] * y for x, y in zip(a[i], a[t])]
+    return [row[n:] for row in a]
 
 
 class LatticeOracle:
-    """Linear equivalence via the Laplacian's integer column lattice."""
+    """Linear equivalence via the Laplacian's integer column lattice.
+
+    On a connected component C with root r (its least vertex), the columns
+    of L_C sum to zero and L_C has kernel spanned by the all-ones vector.
+    So b lies in the lattice exactly when b sums to 0 over C and the
+    reduced system L' x = b' (row and column r deleted, nonsingular) has
+    an integral solution.  With L'^-1 = A / q for an integer matrix A and
+    the common denominator q, that is A b' = 0 mod q.
+    """
 
     def __init__(self, g: Multigraph):
-        self.n = g.n
-        self.diag, self.left = smith_with_left(laplacian(g).tolist())
+        lap = laplacian(g).tolist()
+        self.parts = []
+        for comp in components(g):
+            rest = sorted(comp)[1:]
+            inverse = _inverse([[Fraction(lap[i][j]) for j in rest] for i in rest])
+            q = math.lcm(*(x.denominator for row in inverse for x in row))
+            self.parts.append((comp, rest, [[int(x * q) for x in row] for row in inverse], q))
 
     def member(self, b) -> bool:
-        y = [sum(self.left[i][j] * b[j] for j in range(self.n)) for i in range(self.n)]
-        for yi, di in zip(y, self.diag):
-            if di == 0:
-                if yi != 0:
-                    return False
-            elif yi % di != 0:
+        for comp, rest, scaled, q in self.parts:
+            if sum(b[v] for v in comp) != 0:
                 return False
+            for row in scaled:
+                if sum(c * b[v] for c, v in zip(row, rest)) % q:
+                    return False
         return True
 
     def equivalent(self, c1, c2) -> bool:
@@ -230,20 +198,6 @@ def brute_b_u(g: Multigraph, t: int) -> int:
             if all(len(c) <= t for c in comps):
                 return size
     raise AssertionError("unreachable")
-
-
-def separations(g: Multigraph):
-    """All (A, B, C) partitions of V with A, B non-empty and no A-B edge."""
-    verts = range(g.n)
-    for assignment in itertools.product((0, 1, 2), repeat=g.n):
-        a = [v for v in verts if assignment[v] == 0]
-        b = [v for v in verts if assignment[v] == 1]
-        if not a or not b:
-            continue
-        a_set, b_set = set(a), set(b)
-        if any((u in a_set and v in b_set) or (u in b_set and v in a_set) for u, v, _ in g.edges):
-            continue
-        yield a, b, [v for v in verts if assignment[v] == 2]
 
 
 def _positive_definite(mat: list[list[int]]) -> bool:

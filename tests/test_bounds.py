@@ -80,15 +80,6 @@ def test_cheeger_grid_refuses_irregular():
         cheeger_grid_bound(g, cheeger_profile(g))
 
 
-def test_grid_bounds_refuse_heuristic_profile():
-    g = named_graph("cycle:8")
-    heuristic = cheeger_profile(g, exact_cap=4)
-    with pytest.raises(ValueError):
-        cheeger_grid_bound(g, heuristic)
-    with pytest.raises(ValueError):
-        separator_grid_bound(g, heuristic, {})
-
-
 def test_separator_grid_bound_simple_cases():
     for name in ("cycle:6", "k4", "path:5"):
         g = named_graph(name)
@@ -214,7 +205,7 @@ def test_full_report_seeded_rows_match_unseeded_separators(corpus):
 def test_full_report_above_cheeger_cap_notes_skipped_scan():
     g = named_graph("pappus")
     report = full_report(g, exact_cheeger_cap=10)
-    assert not report.profile_exact
+    assert report.rows == ()
     assert report.cheeger_bound is None
     assert report.separator_bound is None
     assert report.notes == ("n=18 above exact cheeger cap 10: cheeger scan and grid bounds skipped",)
@@ -226,7 +217,6 @@ def test_full_report_above_cheeger_cap_notes_skipped_scan():
 def test_full_report_cheeger_budget_is_partial_not_fatal(pappus):
     report = full_report(pappus, SearchBudget(max_steps=50))
     assert report.budget_limited
-    assert not report.profile_exact
     assert report.rows == ()
     assert report.cheeger_bound is None and report.separator_bound is None
     assert any("cheeger scan exhausted budget" in note for note in report.notes)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from gonlab import randgraph
+from gonlab.bounds import DEFAULT_EXACT_CHEEGER_CAP
 from gonlab.cli import build_parser, main
+from gonlab.randgraph import ConfigModelParams, ExperimentCaps, sample_configuration
 
 
 def run_cli(capsys, *argv):
@@ -22,10 +24,48 @@ def run_json(capsys, *argv):
 def test_cheeger_pappus_json(capsys):
     code, payload = run_json(capsys, "cheeger", "pappus")
     assert code == 0
-    assert payload["exact"] is True
     assert payload["h"] == "7/9"
     table = {p["j"]: p["h_u"] for p in payload["points"]}
     assert table == {1: "3", 2: "2", 3: "5/3", 4: "3/2", 5: "7/5", 6: "1", 7: "1", 8: "1", 9: "7/9"}
+
+
+def test_cheeger_is_exact_at_any_n(capsys):
+    """cycle:30 is above the report's size cap; the scan is still exact."""
+    code, payload = run_json(capsys, "cheeger", "cycle:30")
+    assert code == 0
+    assert payload["h"] == "2/15"
+    assert "exact" not in payload
+
+
+def test_cheeger_stopped_by_budget_exits_two(tmp_path, capsys):
+    g = sample_configuration(ConfigModelParams(k=3, n=40, seed=7), 0)
+    path = tmp_path / "cubic40.txt"
+    path.write_text(g.to_edge_list_text())
+    code = main(["cheeger", str(path), "--format", "json", "--budget", "1000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "budget exhausted" in captured.err
+
+
+def test_cheeger_has_no_size_cap_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["cheeger", "pappus", "--exact-max-n", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cap_defaults_come_from_the_library():
+    parser = build_parser()
+    bounds = parser.parse_args(["bounds", "pappus"])
+    assert bounds.cheeger_cap == bounds.separator_cap == DEFAULT_EXACT_CHEEGER_CAP
+    random_ = parser.parse_args(["random", "--k", "3", "--n", "8", "--samples", "1"])
+    caps = ExperimentCaps()
+    assert (random_.gonality_cap, random_.cheeger_cap, random_.separator_cap) == (
+        caps.gonality_cap,
+        caps.cheeger_cap,
+        caps.separator_cap,
+    )
 
 
 def test_json_output_round_trips(capsys):

@@ -37,7 +37,6 @@ def test_edge_boundary_matches_oracle(corpus):
 
 def test_cheeger_profile_k4():
     profile = cheeger_profile(named_graph("k4"))
-    assert profile.exact
     assert profile.h == 2
     assert profile.points[1 - 1].value == 3
     assert profile.points[2 - 1].value == 2
@@ -105,16 +104,6 @@ def test_regular_half_edge_identity(corpus):
                 )
                 # half-edges with one end in U: k|U| = 2*internal + boundary
                 assert k * size == 2 * internal + boundary
-
-
-def test_heuristic_mode_flags_upper_bounds():
-    g = named_graph("cycle:8")
-    profile = cheeger_profile(g, exact_cap=4)
-    assert not profile.exact
-    exact = cheeger_profile(g)
-    for heur, true in zip(profile.points, exact.points):
-        assert heur.value >= true.value  # upper bounds only
-        assert Fraction(edge_boundary(g, heur.witness), len(heur.witness)) == heur.value
 
 
 def test_cheeger_budget_exhaustion():

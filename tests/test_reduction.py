@@ -5,7 +5,7 @@ import pytest
 from conftest import complete_graph
 from gonlab.budget import BudgetExceededError, SearchBudget
 from gonlab.compositions import compositions_colex
-from gonlab.divisor import Divisor, fire_set, is_equivalent, parse_divisor
+from gonlab.divisor import Divisor, fire_set, parse_divisor
 from gonlab.graph import Multigraph, named_graph
 from gonlab.reduction import (
     _reduced_divisors,
@@ -91,7 +91,6 @@ def test_v_reduce_preserves_class_and_degree(corpus):
             reduced = v_reduce(Divisor(g, chips), v)
             assert reduced.degree() == sum(chips)
             assert oracle.equivalent(chips, reduced.chips)
-            assert is_equivalent(Divisor(g, chips), reduced)
 
 
 def test_v_reduce_repairs_deficits(corpus):

@@ -13,10 +13,9 @@ from gonlab.spectral import (
     SpectralSummary,
     algebraic_connectivity,
     gonality_bound_bracket,
-    separator_lower_bound,
     spectral_gonality_bound,
 )
-from oracles import lambda2_in, separations, spectral_ceiling_is
+from oracles import lambda2_in, spectral_ceiling_is
 
 
 def test_lambda2_against_numpy(corpus):
@@ -125,42 +124,6 @@ def test_lambda2_monotone_under_edge_addition():
             algebraic_connectivity(bigger).lambda2
             >= algebraic_connectivity(g).lambda2 - 1e-8
         )
-
-
-def test_separator_lower_bound_pappus_value():
-    # frozen from direct evaluation: 4*(3-sqrt3)*36 / (54 - 12*(3-sqrt3))
-    lam = 3 - math.sqrt(3)
-    value = separator_lower_bound(6, 6, lam, 3, 18)
-    assert abs(value - 4.7076581449591) <= 1e-9
-
-
-def test_separator_lower_bound_guards():
-    with pytest.raises(ValueError):
-        separator_lower_bound(0, 1, 2.0, 1, 2)
-    with pytest.raises(ValueError):
-        separator_lower_bound(1, 1, 2.0, 1, 2)  # denominator 1*2 - 2*2 < 0
-    with pytest.raises(ValueError):
-        separator_lower_bound(3, 3, 1.0, 2, 4)  # sides exceed n
-    with pytest.raises(ValueError):
-        separator_lower_bound(1, 1, 0.0, 2, 4)
-
-
-def test_separator_bound_holds_on_small_graphs():
-    """Every actual separation satisfies the eigenvalue lower bound."""
-    checked = 0
-    for seed in range(40):
-        g = erdos_renyi_connected(5 + seed % 3, 0.5, seed=1300 + seed)
-        if g is None:
-            continue
-        s = algebraic_connectivity(g)
-        lam = max(s.lambda2 - s.error_bound, 1e-12)
-        for a, b, c in separations(g):
-            bound = separator_lower_bound(len(a), len(b), lam, g.max_valence, g.n)
-            assert len(c) >= bound - 1e-7
-            checked += 1
-        if checked > 2000:
-            break
-    assert checked > 100
 
 
 def test_gonality_bound_limit_zero():
