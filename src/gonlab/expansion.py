@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
-from gonlab.graph import Multigraph, components
+from gonlab.graph import (
+    Multigraph,
+    _adjacency_masks,
+    _mask_tuple,
+    _multiplicity_layers,
+    components,
+)
 
 
 @dataclass(frozen=True)
@@ -66,62 +72,54 @@ def edge_boundary(g: Multigraph, s) -> int:
     return sum(mult for u, v, mult in g.edges if (u in s) != (v in s))
 
 
-def _adjacency_masks(g: Multigraph) -> list[int]:
-    adj = [0] * g.n
-    for u, v, _ in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
-def _scan_connected_subsets(g: Multigraph, max_size: int, visit, budget: SearchBudget):
-    """Call visit(mask, size, boundary) on every connected subset, once each.
+def _scan_connected_subsets(g: Multigraph, max_size: int, budget: SearchBudget):
+    """(least, masks): per size j <= max_size, the least boundary of a
+    connected j-subset and the mask of the lexicographically least subset
+    attaining it.  Index 0 is unused.
 
     Anchored enumeration: for each anchor vertex (the subset minimum), grow
     using only larger vertices, branching on include/exclude of one
-    extension candidate at a time.  Boundary sizes are maintained
-    incrementally: adding w changes the boundary by val(w) minus twice the
-    multiplicity from w into the current subset.  That multiplicity is a sum
-    of popcounts over layers[w], where layer i holds the neighbours joined
-    to w by more than i parallel edges.
+    extension candidate at a time; `avail` holds the vertices above the
+    anchor that are neither in the subset nor excluded.  Each connected
+    subset is visited once, and each visit ticks the meter once.  Boundary
+    sizes are maintained incrementally: adding w changes the boundary by
+    val(w) minus twice the multiplicity from w into the current subset, a
+    sum of popcounts over w's multiplicity layers.  Within one size the
+    least boundary is the least ratio, and among equal boundaries the set
+    that holds the lowest vertex in which two sets differ has the
+    lexicographically smaller sorted tuple.
     """
-    n = g.n
-    adj_mask = _adjacency_masks(g)
-    layers = [
-        [
-            sum(1 << x for x, mult in g.neighbors(w) if mult > i)
-            for i in range(max((mult for _, mult in g.neighbors(w)), default=0))
-        ]
-        for w in range(n)
-    ]
+    adj = _adjacency_masks(g)
+    layers = _multiplicity_layers(g)
+    val = [g.val(w) for w in range(g.n)]
+    least = [g.m + 1] * (max_size + 1)  # above any boundary
+    masks = [0] * (max_size + 1)
     tick = budget.meter("cheeger scan").tick
 
-    def rec(mask: int, size: int, boundary: int, ext: int, banned: int):
+    def rec(mask: int, size: int, boundary: int, ext: int, avail: int):
         tick()
-        visit(mask, size, boundary)
+        if boundary < least[size] or (
+            boundary == least[size] and (d := mask ^ masks[size]) & -d & mask
+        ):
+            least[size] = boundary
+            masks[size] = mask
         if size == max_size:
             return
+        size += 1
         while ext:
-            w = (ext & -ext).bit_length() - 1
-            ext &= ext - 1
-            into = sum((layer & mask).bit_count() for layer in layers[w])
-            new_mask = mask | (1 << w)
-            new_ext = (ext | (adj_mask[w] & allowed & ~banned)) & ~new_mask
-            rec(new_mask, size + 1, boundary + g.val(w) - 2 * into, new_ext, banned)
-            banned |= 1 << w  # exclude w from every later branch at this level
+            bit = ext & -ext
+            ext ^= bit
+            avail ^= bit  # w joins this child, then stays out of every later one
+            w = bit.bit_length() - 1
+            into = 0
+            for layer in layers[w]:
+                into += (layer & mask).bit_count()
+            rec(mask | bit, size, boundary + val[w] - 2 * into, ext | adj[w] & avail, avail)
 
-    for anchor in range(n):
-        allowed = ~((1 << (anchor + 1)) - 1)  # vertices strictly above the anchor
-        rec(1 << anchor, 1, g.val(anchor), adj_mask[anchor] & allowed, 0)
-
-
-def _mask_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return tuple(out)
+    for anchor in range(g.n):
+        above = ~((1 << (anchor + 1)) - 1)
+        rec(1 << anchor, 1, val[anchor], adj[anchor] & above, above)
+    return least, masks
 
 
 def cheeger_profile(g: Multigraph, budget: SearchBudget = DEFAULT_BUDGET) -> CheegerProfile:
@@ -136,27 +134,13 @@ def cheeger_profile(g: Multigraph, budget: SearchBudget = DEFAULT_BUDGET) -> Che
     if g.n < 2:
         raise ValueError("cheeger profile needs at least 2 vertices")
     half = g.n // 2
-    best: dict[int, tuple[int, int]] = {}
-
-    # Within one size the least boundary is the least ratio, and among
-    # equal sizes the set holding the lowest bit of mask ^ cur has the
-    # lexicographically smaller sorted tuple.
-    def visit(mask, size, boundary):
-        cur = best.get(size)
-        if cur is None or boundary < cur[0] or (
-            boundary == cur[0] and (d := mask ^ cur[1]) & -d & mask
-        ):
-            best[size] = (boundary, mask)
-
-    _scan_connected_subsets(g, half, visit, budget)
-
-    # a connected graph has connected subsets of every size, so best[j] exists
+    # a connected graph has connected subsets of every size, so each entry is set
+    least, masks = _scan_connected_subsets(g, half, budget)
     points = []
     running: tuple[Fraction, int] | None = None
     for j in range(1, half + 1):
-        boundary, mask = best[j]
-        if running is None or Fraction(boundary, j) < running[0]:
-            running = (Fraction(boundary, j), mask)
+        if running is None or Fraction(least[j], j) < running[0]:
+            running = (Fraction(least[j], j), masks[j])
         points.append(
             CheegerPoint(
                 j=j,
@@ -168,71 +152,88 @@ def cheeger_profile(g: Multigraph, budget: SearchBudget = DEFAULT_BUDGET) -> Che
     return CheegerProfile(n=g.n, points=tuple(points))
 
 
-def _bfs_components(adj: list[int], free: int, parent: list[int]):
-    """Yield the components of the free vertices as BFS orders.
+def _packing(adj: list[int], free: int, t: int, room: int, parent: list[int], subtree: list[int]):
+    """(count, witness) for the components of the free vertices.
 
-    Components come in order of their smallest vertex, the BFS root, and
-    neighbours in ascending order (lowest set bit first), as `g.neighbors`
-    lists them.  `parent` receives the discoverer of every non-root vertex.
+    Components are walked by BFS in order of their smallest vertex, the
+    root, with neighbours in ascending order.  `count` vertex-disjoint
+    connected (t+1)-subsets are packed greedily bottom-up along the BFS
+    spanning trees; every valid separator must hit each of them with a
+    distinct vertex.  Counting stops as soon as `count` reaches `room`.
+    `witness` is the first t+1 BFS vertices of the first component larger
+    than t (BFS-tree prefixes are connected), or None when no component
+    is; it is complete whenever the returned count is below `room`.
+    `parent` and `subtree` are scratch lists of length n + 1.
     """
+    count = 0
+    witness = None
     while free:
-        root = (free & -free).bit_length() - 1
-        free ^= 1 << root
+        bit = free & -free
+        free ^= bit
+        root = bit.bit_length() - 1
+        parent[root] = -1  # the spare last slot of `subtree` takes the root's total
+        subtree[root] = 1
         order = [root]
+        append = order.append
         for x in order:  # appending while iterating walks the queue
             new = adj[x] & free
             free ^= new
             while new:
-                w = (new & -new).bit_length() - 1
-                new &= new - 1
+                bit = new & -new
+                new ^= bit
+                w = bit.bit_length() - 1
                 parent[w] = x
-                order.append(w)
-        yield order
-
-
-def _packing(adj: list[int], free: int, t: int, parent: list[int], subtree: list[int]):
-    """(count, witness) for the components of the free vertices.
-
-    `count` vertex-disjoint connected (t+1)-subsets are packed greedily
-    bottom-up along BFS spanning trees; every valid separator must hit each
-    of them with a distinct vertex.  `witness` is the first t+1 BFS vertices
-    of the first component larger than t (BFS-tree prefixes are connected),
-    or None when no component is.
-    """
-    count = 0
-    witness = None
-    for order in _bfs_components(adj, free, parent):
+                subtree[w] = 1
+                append(w)
         if len(order) <= t:
             continue
         if witness is None:
             witness = order[: t + 1]
-        for v in order:
-            subtree[v] = 1
-        for v in order[:0:-1]:  # reverse BFS order: children before parents
+        for v in reversed(order):  # children before parents
             if subtree[v] > t:
                 count += 1
-                subtree[v] = 0
-            subtree[parent[v]] += subtree[v]
-        if subtree[order[0]] > t:
-            count += 1
+                if count >= room:
+                    return count, witness
+            else:
+                subtree[parent[v]] += subtree[v]
     return count, witness
 
 
-def _greedy_separator(g: Multigraph, adj: list[int], t: int) -> int:
-    """Mask of a valid separator: repeatedly remove the vertex with the most
-    edges inside the largest component above t."""
-    full = (1 << g.n) - 1
-    parent = [0] * g.n
+def _greedy_separator(adj: list[int], layers: list[list[int]], free: int, t: int) -> int:
+    """Mask of a valid separator: while the largest component of the free
+    vertices (among equals, the one holding the smallest vertex) has more
+    than t vertices, remove its vertex with the most edges inside it,
+    lowest index first."""
     removed = 0
     while True:
-        target = max(_bfs_components(adj, full & ~removed, parent), key=len)
-        if len(target) <= t:
+        target, rest = 0, free
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                reach = 0
+                while frontier:
+                    bit = frontier & -frontier
+                    frontier ^= bit
+                    reach |= adj[bit.bit_length() - 1]
+                frontier = reach & rest & ~comp
+                comp |= frontier
+            rest ^= comp
+            if comp.bit_count() > target.bit_count():
+                target = comp
+        if target.bit_count() <= t:
             return removed
-        inside = sum(1 << v for v in target)
-        removed |= 1 << max(
-            target,
-            key=lambda v: (sum(m for x, m in g.neighbors(v) if (inside >> x) & 1), -v),
-        )
+        pick, most = 0, -1
+        rest = target
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            inside = 0
+            for layer in layers[bit.bit_length() - 1]:
+                inside += (layer & target).bit_count()
+            if inside > most:
+                pick, most = bit, inside
+        removed |= pick
+        free ^= pick
 
 
 def b_u(
@@ -273,37 +274,44 @@ def b_u(
 
     adj = _adjacency_masks(g)
     full = (1 << g.n) - 1
-    parent = [0] * g.n
-    subtree = [0] * g.n
-    incumbent = _greedy_separator(g, adj, t)
+    parent = [0] * (g.n + 1)
+    subtree = [0] * (g.n + 1)
+    incumbent = _greedy_separator(adj, _multiplicity_layers(g), full, t)
     if seed:
         if not all(0 <= v < g.n for v in seed):
             raise ValueError("seed vertex out of range")
         seed_mask = sum(1 << v for v in seed)
-        if _packing(adj, full & ~seed_mask, t, parent, subtree)[1] is not None:
+        if _packing(adj, full ^ seed_mask, t, 1, parent, subtree)[0]:
             raise ValueError(f"seed leaves a component larger than {t}")
         if seed_mask.bit_count() < incumbent.bit_count():
             incumbent = seed_mask
-    root_lb = _packing(adj, full, t, parent, subtree)[0]
+    best = incumbent.bit_count()
+    root_lb = _packing(adj, full, t, g.n + 1, parent, subtree)[0]  # room above any count
+    rank = [0] * g.n  # branch order: valence descending, then index
+    for i, v in enumerate(sorted(range(g.n), key=lambda v: (-g.val(v), v))):
+        rank[v] = i
     tick = budget.meter("separator search").tick
 
-    def dfs(mask: int, kept: int):
-        nonlocal incumbent
+    def dfs(mask: int, size: int, kept: int):
+        nonlocal incumbent, best
         tick()
-        count, witness = _packing(adj, full & ~mask, t, parent, subtree)
-        if mask.bit_count() + count >= incumbent.bit_count():
+        room = best - size
+        if room <= 0:  # a sibling may have lowered `best` to this size
+            return
+        count, witness = _packing(adj, full ^ mask, t, room, parent, subtree)
+        if count >= room:
             return
         if witness is None:
-            incumbent = mask  # strictly smaller: the prune above passed
+            incumbent, best = mask, size  # strictly smaller: room > 0
             return
-        for w in sorted(witness, key=lambda v: (-g.val(v), v)):
+        for w in sorted(witness, key=rank.__getitem__):
             bit = 1 << w
             if not kept & bit:
-                dfs(mask | bit, kept)
+                dfs(mask | bit, size + 1, kept)
                 kept |= bit
 
     try:
-        dfs(0, 0)
+        dfs(0, 0, 0)
         optimal = True
     except BudgetExceededError:
         optimal = False

@@ -11,11 +11,12 @@ because a positive-rank witness of that degree is guaranteed to exist.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
 from gonlab.divisor import Divisor
-from gonlab.graph import Multigraph, genus
+from gonlab.graph import Multigraph, _adjacency_masks, _mask_tuple, genus
 from gonlab.reduction import _positive_rank_obstruction, _reduced_divisors, _vertex_order
 
 
@@ -98,50 +99,78 @@ def genus_upper_bound(g: Multigraph) -> int:
 
 
 def greedy_independent_set(g: Multigraph) -> frozenset[int]:
-    """Deterministic min-valence greedy; a lower bound witness for alpha."""
-    alive = set(range(g.n))
-    chosen: list[int] = []
-    while alive:
-        v = min(alive, key=lambda x: (sum(m for w, m in g.neighbors(x) if w in alive), x))
+    """Deterministic min-valence greedy; a lower bound witness for alpha.
+
+    Each round takes the alive vertex with the least multiplicity into the
+    alive set, lowest index first, and drops it and its neighbours.  The
+    inflows only fall, so a heap with lazily discarded stale entries finds
+    each round's vertex in O(log n).
+    """
+    inflow = [g.val(v) for v in range(g.n)]
+    heap = [(d, v) for v, d in enumerate(inflow)]
+    heapq.heapify(heap)
+    alive = [True] * g.n
+    chosen = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if not alive[v] or d != inflow[v]:
+            continue
         chosen.append(v)
-        alive.discard(v)
-        for w, _ in g.neighbors(v):
-            alive.discard(w)
+        dropped = [v, *(w for w, _ in g.neighbors(v) if alive[w])]
+        for w in dropped:
+            alive[w] = False
+        for w in dropped:
+            for x, mult in g.neighbors(w):
+                if alive[x]:
+                    inflow[x] -= mult
+                    heapq.heappush(heap, (inflow[x], x))
     return frozenset(chosen)
 
 
 def max_independent_set(
     g: Multigraph, budget: SearchBudget = DEFAULT_BUDGET
 ) -> tuple[frozenset[int], bool]:
-    """Branch-and-bound maximum independent set.
+    """Branch-and-bound maximum independent set, on bitmasks.
+
+    Each node ticks the meter once and prunes when the picked vertices
+    plus every candidate cannot beat the best set.  Otherwise it branches
+    on the candidate with the most neighbours among the candidates, lowest
+    index first: take it (dropping its neighbours), then leave it out.
 
     Returns (set, exact).  When the step or time budget runs out the best
     set found so far is returned with exact=False; it is still independent,
     so any bound derived from it stays valid.
     """
-    best = greedy_independent_set(g)
+    adj = _adjacency_masks(g)
+    best = sum(1 << v for v in greedy_independent_set(g))
+    best_size = best.bit_count()
     tick = budget.meter("independent set search").tick
 
-    def expand(cand: frozenset[int], picked: tuple[int, ...]):
-        nonlocal best
+    def expand(cand: int, picked: int, size: int):
+        nonlocal best, best_size
         tick()
-        if len(picked) + len(cand) <= len(best):
+        if size + cand.bit_count() <= best_size:
             return
         if not cand:
-            if len(picked) > len(best):
-                best = frozenset(picked)
+            best, best_size = picked, size  # strictly larger: the prune above passed
             return
-        v = max(cand, key=lambda x: (sum(1 for w, _ in g.neighbors(x) if w in cand), -x))
-        closed = frozenset(w for w, _ in g.neighbors(v)) | {v}
-        expand(cand - closed, picked + (v,))
-        expand(cand - {v}, picked)
+        pick, most = 0, -1
+        rest = cand
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            degree = (adj[bit.bit_length() - 1] & cand).bit_count()
+            if degree > most:
+                pick, most = bit, degree
+        expand(cand & ~(pick | adj[pick.bit_length() - 1]), picked | pick, size + 1)
+        expand(cand ^ pick, picked, size)
 
     try:
-        expand(frozenset(range(g.n)), ())
+        expand((1 << g.n) - 1, 0, 0)
         exact = True
     except BudgetExceededError:
         exact = False
-    return best, exact
+    return frozenset(_mask_tuple(best)), exact
 
 
 def independence_upper_bound(

@@ -249,6 +249,38 @@ def components(g: Multigraph, excluded: frozenset[int] | set[int] = frozenset())
     return out  # already ordered by smallest vertex: starts scan ascending
 
 
+def _adjacency_masks(g: Multigraph) -> list[int]:
+    """adj[v]: int bitmask of the neighbours of v, for the bitmask engines."""
+    adj = [0] * g.n
+    for u, v, _ in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _multiplicity_layers(g: Multigraph) -> list[list[int]]:
+    """layers[v][i]: bitmask of the neighbours joined to v by more than i
+    parallel edges.  The multiplicity from v into a set S is then the sum
+    of the popcounts of layer & S; a simple graph has one layer, adj[v]."""
+    return [
+        [
+            sum(1 << x for x, mult in g.neighbors(v) if mult > i)
+            for i in range(max((mult for _, mult in g.neighbors(v)), default=0))
+        ]
+        for v in range(g.n)
+    ]
+
+
+def _mask_tuple(mask: int) -> tuple[int, ...]:
+    """The set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return tuple(out)
+
+
 def genus(g: Multigraph) -> int:
     """First Betti number m - n + 1 of a connected multigraph."""
     if not g.is_connected():

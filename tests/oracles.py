@@ -8,6 +8,9 @@ reducedness through a burning loop written from the definition (not
 `gonlab.reduction`),
 expansion constants through all-subsets scans (not connected-only
 pruning), separators through subsets-by-increasing-size, the
+independence number through a table over all vertex subsets (not branch
+and bound), the greedy independent set by rescanning every alive vertex
+each round (not a heap), the
 algebraic connectivity through exact definiteness tests (not eigensolvers),
 and the spectral bound's ceiling through the squared paper form (not the
 conjugate form `gonlab.spectral` evaluates).
@@ -198,6 +201,34 @@ def brute_b_u(g: Multigraph, t: int) -> int:
             if all(len(c) <= t for c in comps):
                 return size
     raise AssertionError("unreachable")
+
+
+def brute_alpha(g: Multigraph) -> int:
+    """Independence number from a table over all vertex subsets S, ordered
+    as integers: a maximum independent set of S either avoids the lowest
+    vertex v of S or holds v and nothing else of its closed neighbourhood."""
+    closed = [1 << v for v in range(g.n)]
+    for u, v, _ in g.edges:
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
+    alpha = [0] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        low = s & -s
+        alpha[s] = max(alpha[s ^ low], 1 + alpha[s & ~closed[low.bit_length() - 1]])
+    return alpha[-1]
+
+
+def rescan_greedy_independent_set(g: Multigraph) -> frozenset[int]:
+    """The min-inflow greedy from its definition: each round rescans every
+    alive vertex for the least multiplicity into the alive set, lowest
+    index first, takes it and drops it and its neighbours."""
+    alive = set(range(g.n))
+    chosen = set()
+    while alive:
+        v = min(alive, key=lambda x: (sum(m for w, m in g.neighbors(x) if w in alive), x))
+        chosen.add(v)
+        alive -= {v, *(w for w, _ in g.neighbors(v))}
+    return frozenset(chosen)
 
 
 def _positive_definite(mat: list[list[int]]) -> bool:

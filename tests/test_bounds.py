@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from gonlab.bounds import (
 from gonlab.budget import SearchBudget
 from gonlab.expansion import b_u, cheeger_profile
 from gonlab.gonality import GonalityCertificate, exact_gonality
-from gonlab.graph import named_graph
+from gonlab.graph import Multigraph, named_graph
 
 
 def _grid_inputs(g, budget=None):
@@ -231,3 +232,54 @@ def test_full_report_without_upper_bounds():
     assert lower_only.upper_genus is None and lower_only.upper_independence is None
     assert lower_only.lower == full.lower
     assert lower_only.rows == full.rows
+
+
+@dataclass(frozen=True)
+class RecordingBudget(SearchBudget):
+    """A budget that keeps every meter it opens, so a test can read the
+    step count of each search after the fact."""
+
+    meters: list = field(default_factory=list, compare=False)
+
+    def meter(self, what):
+        opened = super().meter(what)
+        self.meters.append(opened)
+        return opened
+
+
+# the first input of perfbench's cubic-bounds workload at seed 1
+CUBIC_16 = Multigraph.from_edges(
+    16,
+    [
+        (5, 15), (2, 7), (2, 9), (9, 12), (11, 6), (11, 13), (8, 13), (5, 7),
+        (1, 14), (0, 15), (15, 12), (8, 2), (8, 10), (1, 4), (4, 3), (3, 10),
+        (14, 5), (14, 3), (10, 7), (4, 6), (9, 11), (12, 1), (0, 6), (0, 13),
+    ],
+)
+
+
+@pytest.mark.parametrize(
+    "g, counts",
+    [
+        (
+            named_graph("pappus"),
+            [("cheeger scan", 14328)]
+            + [("separator search", c) for c in (42, 55, 161, 224, 345, 827, 1818, 2750, 4056)]
+            + [("independent set search", 83)],
+        ),
+        (
+            CUBIC_16,
+            [("cheeger scan", 3742)]
+            + [("separator search", c) for c in (27, 49, 157, 225, 259, 452, 672, 524)]
+            + [("independent set search", 87)],
+        ),
+    ],
+    ids=["pappus", "cubic16"],
+)
+def test_full_report_work_counts_are_pinned(g, counts):
+    """Every search's step count in the bound report.  The engines' search
+    trees, branch orders and tie-breaks decide these counts, so a rewrite
+    that keeps them keeps the trees."""
+    budget = RecordingBudget()
+    full_report(g, budget)
+    assert [(m.what, m.count) for m in budget.meters] == counts

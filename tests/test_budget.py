@@ -2,13 +2,14 @@
 step cap or deadline of 0 stops it at its first step.
 
 Each deadline input needs well over three times the deadline without a
-budget (2-core x86-64, Python 3.11: K20 Cheeger scan 2.8 s, separator
-search on a quartic n=32 at u=10/32 3-4 s, independent set on cycle:120
-over 55 s, gonality search on a quartic n=18 10.9 s, cycle:300 gonality
-search 1.8 s, nearly all of it the rank test of its first degree-2
-candidate, which is the witness, rank test on path:800 2.3 s).  A call
-must come back within the deadline plus one second, either flagged as
-incomplete or by raising BudgetExceededError.
+budget (2-core x86-64, Python 3.11: K22 Cheeger scan 3.7 s, where K20
+takes 0.9 s and K21 1.6 s, separator search on a quartic n=32 at
+u=10/32 4.1 s, independent set on cycle:120 over 30 s, gonality search
+on a quartic n=18 8.6 s, cycle:300 gonality search 1.7 s, nearly all of
+it the rank test of its first degree-2 candidate, which is the witness,
+rank test on path:800 1.5 s).  A call must come back within the deadline
+plus one second, either flagged as incomplete or by raising
+BudgetExceededError.
 """
 
 import time
@@ -46,7 +47,7 @@ def _never_partial(result) -> bool:
 
 ENGINES = {
     "cheeger_profile": (
-        lambda budget: cheeger_profile(complete_graph(20), budget),
+        lambda budget: cheeger_profile(complete_graph(22), budget),
         _never_partial,  # an exact profile never returns partial
     ),
     "b_u": (

@@ -2,11 +2,12 @@
 
 The bound report, demo and harness fixtures pin the folded bounds; the
 `cheeger` and `bu` fixtures pin the Cheeger witnesses and the separator
-sets, which depend on the engines' tie-break rules.
+sets, which depend on the engines' tie-break rules.  A budget-stopped `bu`
+fixture pins the incumbent at the stop, which depends on the search order.
 
 A change that alters any of these outputs on purpose regenerates the
-fixture with the command in `GOLDEN` (plus ``--format json``) and says why
-in CHANGES.md.
+fixture with the command in `GOLDEN` or `GOLDEN_STOPPED` (plus
+``--format json``) and says why in CHANGES.md.
 """
 
 import os
@@ -35,4 +36,18 @@ def test_golden_output(fixture, capsys, monkeypatch):
     for var in [var for var in os.environ if var.startswith("GONLAB_")]:
         monkeypatch.delenv(var)
     assert main([*GOLDEN[fixture], "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / fixture).read_text()
+
+
+# budget-stopped runs exit 2; the incumbent at the stop pins the search order
+GOLDEN_STOPPED = {
+    "bu_pappus_u9_18_budget500.json": ("bu", "pappus", "--u", "9/18", "--budget", "500"),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(GOLDEN_STOPPED))
+def test_golden_output_of_a_budget_stop(fixture, capsys, monkeypatch):
+    for var in [var for var in os.environ if var.startswith("GONLAB_")]:
+        monkeypatch.delenv(var)
+    assert main([*GOLDEN_STOPPED[fixture], "--format", "json"]) == 2
     assert capsys.readouterr().out == (GOLDEN_DIR / fixture).read_text()

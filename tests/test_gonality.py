@@ -20,7 +20,13 @@ from gonlab.gonality import (
 )
 from gonlab.graph import Multigraph, genus, named_graph
 from gonlab.reduction import has_positive_rank
-from oracles import brute_gonality, brute_reduced_witness
+from gonlab.randgraph import ConfigModelParams, sample_configuration
+from oracles import (
+    brute_alpha,
+    brute_gonality,
+    brute_reduced_witness,
+    rescan_greedy_independent_set,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -156,12 +162,25 @@ def test_greedy_independent_set_is_independent(corpus):
         assert all(w not in s for v in s for w, _ in g.neighbors(v))
 
 
-def test_max_independent_set_is_independent_and_maximal(corpus):
-    for g in corpus[:20]:
+def test_greedy_independent_set_follows_its_tie_rule(corpus, pappus):
+    """The heap greedy returns the set of the rescanning definition.  The
+    set matters beyond its size: complement_divisor weights depend on it
+    on multigraphs, and it seeds the exact search."""
+    larger = [
+        sample_configuration(ConfigModelParams(k=k, n=n, seed=7))
+        for k, n in ((3, 100), (4, 60), (3, 300))
+    ]
+    for g in corpus + [pappus] + larger:
+        assert greedy_independent_set(g) == rescan_greedy_independent_set(g)
+
+
+def test_max_independent_set_is_independent_and_maximal(corpus, pappus):
+    assert brute_alpha(pappus) == 9
+    for g in corpus + [pappus]:
         s, exact = max_independent_set(g)
         assert exact
         assert all(w not in s for v in s for w, _ in g.neighbors(v))
-        assert len(s) >= len(greedy_independent_set(g))
+        assert len(s) == brute_alpha(g)
 
 
 def test_max_independent_set_honours_deadline():
