@@ -31,7 +31,7 @@ from gonlab.expansion import (
     b_u,
 )
 from gonlab.spectral import SpectralSummary, algebraic_connectivity, spectral_gonality_bound
-from gonlab.bounds import BoundReport, separator_grid_bound, cheeger_grid_bound, full_report
+from gonlab.bounds import BoundReport, grid_rows, separator_grid_bound, cheeger_grid_bound, full_report
 from gonlab.randgraph import ConfigModelParams, ExperimentRecord, sample_configuration, run_experiment
 from gonlab.budget import SearchBudget, BudgetExceededError
 

@@ -9,8 +9,11 @@ Two lower-bound families are evaluated over the u-grid:
   h(G)*u*n} - the transform h_u/(k+h_u)*n is itself a lower bound on B_u,
   so this row never exceeds the separator row.
 
-All grid arithmetic is exact rational; ceilings are taken only at report
-assembly (gonality is an integer, so a lower bound of 5.04 certifies 6).
+`grid_rows` alone evaluates the rows (h*u*n, the transform, both row
+minima); the grid bounds and `full_report` fold its columns.  All grid
+arithmetic is exact rational; ceilings are taken only at report assembly
+(gonality is an integer, so a lower bound of 5.04 certifies 6).  One size
+cap, `exact_cheeger_cap`, covers the Cheeger scan and the separators.
 
 The published constants for random cubic graphs are reproduced as pure
 arithmetic pipelines with the external inputs injected as defaults: they
@@ -34,6 +37,68 @@ DEFAULT_EXACT_CHEEGER_CAP = 24
 """Largest n at which `full_report` runs the Cheeger scan and the separators."""
 
 
+@dataclass(frozen=True)
+class GridRow:
+    """One u-grid line of the report; None marks unavailable entries."""
+
+    j: int
+    u: Fraction
+    h_u: Fraction
+    h_times_un: Fraction
+    separator_size: int | None
+    transform: Fraction | None
+    row_min_separator: Fraction | None
+    row_min_transform: Fraction | None
+
+
+def grid_rows(
+    g: Multigraph,
+    profile: CheegerProfile,
+    separators: dict[int, SeparatorCertificate],
+) -> tuple[GridRow, ...]:
+    """The u-grid lines of the report, one per profile point, in ascending u.
+
+    A point without a certificate in `separators` (keyed by j) gets None in
+    its separator columns; the transform columns are None on irregular
+    graphs.  Refuses a profile of another graph and a non-optimal separator
+    certificate: an upper bound on B_u is not a valid gonality lower bound.
+    """
+    if profile.n != g.n:
+        raise ValueError("profile belongs to a different graph")
+    k = g.regularity()
+    rows = []
+    for point in profile.points:
+        cert = separators.get(point.j)
+        if cert is not None and not cert.optimal:
+            raise ValueError(f"separator certificate at u={cert.u} is not optimal")
+        h_times_un = profile.h * point.j
+        transform = point.value / (k + point.value) * g.n if k is not None else None
+        rows.append(
+            GridRow(
+                j=point.j,
+                u=point.u,
+                h_u=point.value,
+                h_times_un=h_times_un,
+                separator_size=cert.size if cert else None,
+                transform=transform,
+                row_min_separator=min(Fraction(cert.size), h_times_un) if cert else None,
+                row_min_transform=min(transform, h_times_un) if transform is not None else None,
+            )
+        )
+    return tuple(rows)
+
+
+def _first_max(rows: tuple[GridRow, ...], column: str) -> tuple[Fraction, Fraction] | None:
+    """(value, u) of the largest non-None entry of `column`, at the smallest
+    such u, or None when the column is empty."""
+    best = None
+    for row in rows:
+        value = getattr(row, column)
+        if value is not None and (best is None or value > best[0]):
+            best = (value, row.u)
+    return best
+
+
 def separator_grid_bound(
     g: Multigraph,
     profile: CheegerProfile,
@@ -42,23 +107,10 @@ def separator_grid_bound(
     """max over grid u of min{B_u, h(G)*u*n}, with the u achieving it.
 
     B_u decreases in u while h*u*n increases, so the maximum sits at their
-    crossing; the smallest maximizing grid point is reported.  Refuses
-    non-optimal separator certificates: an upper bound on B_u is not a
-    valid gonality lower bound.
+    crossing; the smallest maximizing grid point is reported.  Grid points
+    missing from `separators` are left out of the maximum.
     """
-    if profile.n != g.n:
-        raise ValueError("profile belongs to a different graph")
-    h = profile.h
-    best: tuple[Fraction, Fraction] | None = None
-    for point in profile.points:
-        cert = separators.get(point.j)
-        if cert is None:
-            continue
-        if not cert.optimal:
-            raise ValueError(f"separator certificate at u={cert.u} is not optimal")
-        row = min(Fraction(cert.size), h * point.j)
-        if best is None or row > best[0]:
-            best = (row, point.u)
+    best = _first_max(grid_rows(g, profile, separators), "row_min_separator")
     if best is None:
         raise ValueError("no separator certificates supplied")
     return best
@@ -66,20 +118,9 @@ def separator_grid_bound(
 
 def cheeger_grid_bound(g: Multigraph, profile: CheegerProfile) -> tuple[Fraction, Fraction]:
     """max over grid u of min{h_u/(k+h_u)*n, h(G)*u*n} for k-regular graphs."""
-    k = g.regularity()
-    if k is None:
+    if g.regularity() is None:
         raise ValueError("cheeger grid bound applies to regular graphs only")
-    if profile.n != g.n:
-        raise ValueError("profile belongs to a different graph")
-    h = profile.h
-    best: tuple[Fraction, Fraction] | None = None
-    for point in profile.points:
-        transform = point.value / (k + point.value) * g.n
-        row = min(transform, h * point.j)
-        if best is None or row > best[0]:
-            best = (row, point.u)
-    assert best is not None
-    return best
+    return _first_max(grid_rows(g, profile, {}), "row_min_transform")
 
 
 def expansion_pipeline_constant(
@@ -104,20 +145,6 @@ def spectral_pipeline_constant(lambda2: float = 3 - 2 * math.sqrt(2), d: int = 3
     at k = 3.
     """
     return float(gonality_bound_bracket(Fraction(lambda2), d, 1)[0])
-
-
-@dataclass(frozen=True)
-class GridRow:
-    """One u-grid line of the report; None marks unavailable entries."""
-
-    j: int
-    u: Fraction
-    h_u: Fraction
-    hun: Fraction
-    separator_size: int | None
-    transform: Fraction | None
-    row_min_separator: Fraction | None
-    row_min_transform: Fraction | None
 
 
 @dataclass(frozen=True)
@@ -152,7 +179,6 @@ def full_report(
     budget: SearchBudget = DEFAULT_BUDGET,
     *,
     exact_cheeger_cap: int = DEFAULT_EXACT_CHEEGER_CAP,
-    separator_cap: int = DEFAULT_EXACT_CHEEGER_CAP,
     upper_bounds: bool = True,
 ) -> BoundReport:
     """Run every applicable bound stage and fold the final integer bracket.
@@ -185,7 +211,8 @@ def full_report(
             budget_limited = True
 
     separators: dict[int, SeparatorCertificate] = {}
-    if profile is not None and g.n <= separator_cap:
+    rows: tuple[GridRow, ...] = ()
+    if profile is not None:
         # the points run up the grid, so each separator is valid for the next
         # point; a budget stop returns a valid incumbent with optimal=False
         seed: frozenset[int] = frozenset()
@@ -200,36 +227,12 @@ def full_report(
                     f"(best {cert.size}, lower bound {cert.lower_bound})"
                 )
                 budget_limited = True
-    elif profile is not None:
-        notes.append(f"n={g.n} above separator cap {separator_cap}: separator rows skipped")
+        rows = grid_rows(g, profile, separators)
 
-    rows: list[GridRow] = []
-    if profile is not None:
-        h = profile.h
-        for point in profile.points:
-            cert = separators.get(point.j)
-            transform = point.value / (k + point.value) * g.n if k is not None else None
-            hun = h * point.j
-            rows.append(
-                GridRow(
-                    j=point.j,
-                    u=point.u,
-                    h_u=point.value,
-                    hun=hun,
-                    separator_size=cert.size if cert else None,
-                    transform=transform,
-                    row_min_separator=min(Fraction(cert.size), hun) if cert else None,
-                    row_min_transform=min(transform, hun) if transform is not None else None,
-                )
-            )
-
-    sep_bound = None
-    if profile is not None and len(separators) == len(profile.points):
-        sep_bound = separator_grid_bound(g, profile, separators)
-    cheeger_bound = None
-    if profile is not None and k is not None:
-        cheeger_bound = cheeger_grid_bound(g, profile)
-    elif k is None:
+    # the separator bound is reported only when every grid point is certified
+    sep_bound = _first_max(rows, "row_min_separator") if len(separators) == len(rows) else None
+    cheeger_bound = _first_max(rows, "row_min_transform")
+    if k is None:
         notes.append("graph is not regular: cheeger grid bound inapplicable")
 
     spectral = None
@@ -260,7 +263,7 @@ def full_report(
         m=g.m,
         k=k,
         genus=gen,
-        rows=tuple(rows),
+        rows=rows,
         separator_bound=sep_bound,
         cheeger_bound=cheeger_bound,
         spectral=spectral,

@@ -9,6 +9,7 @@ its first step.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -49,6 +50,10 @@ class SearchBudget:
 
     @classmethod
     def with_seconds(cls, seconds: float | None, **kwargs) -> "SearchBudget":
+        """Deadline `seconds` from now (None: none).  NaN is refused: no clock
+        reading passes it, so it would lift the deadline without a word."""
+        if seconds is not None and math.isnan(seconds):
+            raise ValueError("budget seconds must be a number, not nan")
         deadline = None if seconds is None else time.monotonic() + seconds
         return cls(deadline=deadline, **kwargs)
 

@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,10 +53,12 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if is_dataclass(obj):  # field by field; `asdict` would deep-copy every value first
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 
-def emit(payload: dict, fmt: str) -> None:
+def emit(payload, fmt: str) -> None:
     payload = _jsonable(payload)
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -130,18 +132,7 @@ def cmd_bu(args) -> int:
     g = resolve_graph(args.graph)
     u = Fraction(args.u)
     cert = b_u(g, u, build_budget(args))
-    emit(
-        {
-            "u": cert.u,
-            "max_component": cert.max_component,
-            "size": cert.size,
-            "separator": cert.separator,
-            "component_sizes": list(cert.component_sizes),
-            "optimal": cert.optimal,
-            "lower_bound": cert.lower_bound,
-        },
-        args.format,
-    )
+    emit(cert, args.format)
     return EXIT_OK if cert.optimal else EXIT_BUDGET
 
 
@@ -242,19 +233,7 @@ def _report_payload(report: BoundReport) -> dict:
         "m": report.m,
         "k": report.k,
         "genus": report.genus,
-        "rows": [
-            {
-                "j": r.j,
-                "u": r.u,
-                "h_u": r.h_u,
-                "h_times_un": r.hun,
-                "separator_size": r.separator_size,
-                "transform": r.transform,
-                "row_min_separator": r.row_min_separator,
-                "row_min_transform": r.row_min_transform,
-            }
-            for r in report.rows
-        ],
+        "rows": report.rows,
         "separator_bound": _grid_bound_payload(report.separator_bound),
         "cheeger_bound": _grid_bound_payload(report.cheeger_bound),
         "spectral": None
@@ -277,23 +256,14 @@ def _report_payload(report: BoundReport) -> dict:
 
 def cmd_bounds(args) -> int:
     g = resolve_graph(args.graph)
-    report = full_report(
-        g,
-        build_budget(args),
-        exact_cheeger_cap=args.cheeger_cap,
-        separator_cap=args.separator_cap,
-    )
+    report = full_report(g, build_budget(args), exact_cheeger_cap=args.cheeger_cap)
     emit(_report_payload(report), args.format)
     return EXIT_BUDGET if report.budget_limited else EXIT_OK
 
 
 def cmd_random(args) -> int:
     params = ConfigModelParams(k=args.k, n=args.n, seed=args.seed, mode=args.mode)
-    caps = ExperimentCaps(
-        gonality_cap=args.gonality_cap,
-        cheeger_cap=args.cheeger_cap,
-        separator_cap=args.separator_cap,
-    )
+    caps = ExperimentCaps(gonality_cap=args.gonality_cap, cheeger_cap=args.cheeger_cap)
     threads = _setting(args.threads, "GONLAB_THREADS", int, 1)
     records, summary = run_experiment(
         params, args.samples, caps, threads=threads, budget=build_budget(args)
@@ -307,8 +277,8 @@ def cmd_random(args) -> int:
     emit(
         {
             "params": {"k": params.k, "n": params.n, "seed": params.seed, "mode": params.mode},
-            "records": [asdict(r) for r in records],
-            "summary": asdict(summary),
+            "records": records,
+            "summary": summary,
         },
         args.format,
     )
@@ -397,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="full lower/upper bound report")
     _add_common(p)
     p.add_argument("--cheeger-cap", type=int, default=DEFAULT_EXACT_CHEEGER_CAP)
-    p.add_argument("--separator-cap", type=int, default=DEFAULT_EXACT_CHEEGER_CAP)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("random", help="configuration-model experiment harness")
@@ -410,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     caps = ExperimentCaps()
     p.add_argument("--gonality-cap", type=int, default=caps.gonality_cap)
     p.add_argument("--cheeger-cap", type=int, default=caps.cheeger_cap)
-    p.add_argument("--separator-cap", type=int, default=caps.separator_cap)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--emit-graphs", default=None, help="write each sample as an edge list into this directory")
     p.set_defaults(func=cmd_random)

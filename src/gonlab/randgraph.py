@@ -13,6 +13,10 @@ seed XOR splitmix64(i), so workers can evaluate samples concurrently with
 results independent of scheduling, and a fixed (params, index) pair always
 yields the same graph.
 
+A record is a projection of the sample's bound report.  Two size caps
+apply: `cheeger_cap` to the Cheeger scan and its separator searches
+together, `gonality_cap` to the gonality search and the upper bounds.
+
 Caution on interpretation: the published asymptotic constants for random
 cubic graphs describe n -> infinity behavior; the harness only reports
 empirical distributions at finite n and cannot confirm them.
@@ -110,7 +114,6 @@ class ExperimentCaps:
 
     gonality_cap: int = 12
     cheeger_cap: int = 20
-    separator_cap: int = 16
 
 
 @dataclass(frozen=True)
@@ -178,13 +181,7 @@ def _evaluate_sample(
     if not sample["connected"]:
         return ExperimentRecord(**sample)
     in_cap = g.n <= caps.gonality_cap  # upper bounds are reported only next to a gonality
-    report = full_report(
-        g,
-        budget,
-        exact_cheeger_cap=caps.cheeger_cap,
-        separator_cap=caps.separator_cap,
-        upper_bounds=in_cap,
-    )
+    report = full_report(g, budget, exact_cheeger_cap=caps.cheeger_cap, upper_bounds=in_cap)
     gonality = sandwich = None
     status = "capped"
     if in_cap:
@@ -221,15 +218,17 @@ def run_experiment(
     """Evaluate the bound pipeline over `samples` independent draws.
 
     Records come back ordered by sample index whatever the thread count,
-    so output is reproducible byte for byte.  The step cap of `budget`
-    applies to each sample; its deadline, an absolute time, applies to
-    the whole run.
+    so output is reproducible byte for byte.  The pool has at most one
+    worker per sample.  The step cap of `budget` applies to each sample;
+    its deadline, an absolute time, applies to the whole run.
     """
     if samples < 0:
         raise ValueError("sample count must be non-negative")
+    if threads < 1:
+        raise ValueError(f"thread count must be at least 1, got {threads}")
     indices = list(range(samples))
     if threads > 1 and samples > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, samples)) as pool:
             records = list(
                 pool.map(
                     _evaluate_sample,

@@ -8,6 +8,7 @@ from gonlab.bounds import (
     cheeger_grid_bound,
     expansion_pipeline_constant,
     full_report,
+    grid_rows,
     separator_grid_bound,
     spectral_pipeline_constant,
 )
@@ -97,6 +98,31 @@ def test_separator_grid_refuses_non_optimal(pappus):
     assert not cert.optimal
     with pytest.raises(ValueError):
         separator_grid_bound(pappus, profile, {9: cert})
+
+
+def test_grid_rows_with_partial_separators(pappus):
+    """Certified points fill both separator columns, the others stay None;
+    the separator grid bound folds only the certified points."""
+    profile = cheeger_profile(pappus)
+    separators = {j: b_u(pappus, profile.points[j - 1].u) for j in (4, 5)}
+    rows = grid_rows(pappus, profile, separators)
+    assert [r.j for r in rows] == list(range(1, 10))
+    assert [r.separator_size for r in rows] == [None, None, None, 6, 6, None, None, None, None]
+    assert [r.row_min_separator for r in rows[3:5]] == [Fraction(28, 9), Fraction(35, 9)]
+    assert all(r.row_min_separator is None for r in rows if r.j not in separators)
+    assert all(r.h_times_un == profile.h * r.j for r in rows)
+    assert all(r.row_min_transform == min(r.transform, r.h_times_un) for r in rows)
+    assert separator_grid_bound(pappus, profile, separators) == (Fraction(35, 9), Fraction(5, 18))
+
+
+def test_grid_rows_refusals_and_irregular_columns(pappus):
+    path = named_graph("path:6")
+    rows = grid_rows(path, cheeger_profile(path), {})
+    assert all(r.transform is None and r.row_min_transform is None for r in rows)
+    with pytest.raises(ValueError, match="different graph"):
+        grid_rows(named_graph("cycle:10"), cheeger_profile(pappus), {})
+    with pytest.raises(ValueError, match="no separator certificates"):
+        separator_grid_bound(pappus, cheeger_profile(pappus), {})
 
 
 def test_transform_never_exceeds_separator_size(corpus):

@@ -58,14 +58,35 @@ def test_cheeger_has_no_size_cap_flag(capsys):
 def test_cap_defaults_come_from_the_library():
     parser = build_parser()
     bounds = parser.parse_args(["bounds", "pappus"])
-    assert bounds.cheeger_cap == bounds.separator_cap == DEFAULT_EXACT_CHEEGER_CAP
+    assert bounds.cheeger_cap == DEFAULT_EXACT_CHEEGER_CAP
     random_ = parser.parse_args(["random", "--k", "3", "--n", "8", "--samples", "1"])
     caps = ExperimentCaps()
-    assert (random_.gonality_cap, random_.cheeger_cap, random_.separator_cap) == (
-        caps.gonality_cap,
-        caps.cheeger_cap,
-        caps.separator_cap,
-    )
+    assert (random_.gonality_cap, random_.cheeger_cap) == (caps.gonality_cap, caps.cheeger_cap)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("bounds", "pappus"), ("random", "--k", "3", "--n", "8", "--samples", "1")],
+    ids=["bounds", "random"],
+)
+def test_separators_have_no_size_cap_of_their_own(argv, capsys):
+    """The Cheeger cap caps the scan and its separator searches together."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*argv, "--separator-cap", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --separator-cap 4" in capsys.readouterr().err
+
+
+def test_random_runs_separators_up_to_the_cheeger_cap(capsys):
+    """At n=18, between the harness's old separator cap (16) and its Cheeger
+    cap (20), every connected record carries a certified separator bound."""
+    code, payload = run_json(capsys, "random", "--k", "3", "--n", "18", "--samples", "5", "--seed", "7")
+    assert code == 0
+    connected = [r for r in payload["records"] if r["connected"]]
+    assert connected
+    for r in connected:
+        assert r["separator_bound"] is not None
+        assert r["budget_limited"] is False
 
 
 def test_json_output_round_trips(capsys):
@@ -276,6 +297,37 @@ def test_threads_env_applies(capsys, monkeypatch):
     code, threaded = run_json(capsys, *argv)
     assert code == 0 and pools == [2]
     assert threaded["records"] == serial["records"]
+
+
+@pytest.mark.parametrize(
+    "flag, env", [("0", None), ("-2", None), (None, "-1")], ids=["flag-zero", "flag-negative", "env"]
+)
+def test_threads_below_one_is_an_input_error(capsys, monkeypatch, flag, env):
+    if env:
+        monkeypatch.setenv("GONLAB_THREADS", env)
+    argv = ["random", "--k", "3", "--n", "8", "--samples", "2", *(("--threads", flag) if flag else ())]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "thread count must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("flag, env", [("nan", None), (None, "nan")], ids=["flag", "env"])
+def test_nan_budget_seconds_is_an_input_error(capsys, monkeypatch, flag, env):
+    """No clock reading passes a NaN deadline, so it would mean "unlimited"."""
+    if env:
+        monkeypatch.setenv("GONLAB_BUDGET_SECONDS", env)
+    argv = ["gonality", "cycle:8", *(("--budget-seconds", flag) if flag else ())]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not nan" in captured.err
+
+
+def test_infinite_budget_seconds_is_no_deadline(capsys):
+    code, payload = run_json(capsys, "gonality", "cycle:8", "--budget-seconds", "inf")
+    assert code == 0
+    assert payload["gonality"] == 2
 
 
 def test_budget_seconds_env(capsys, monkeypatch):

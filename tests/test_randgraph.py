@@ -1,5 +1,6 @@
 import pytest
 
+from gonlab import randgraph
 from gonlab.budget import SearchBudget
 from gonlab.graph import named_graph
 from gonlab.randgraph import (
@@ -83,7 +84,7 @@ def test_run_experiment_empty():
 
 def test_run_experiment_records_and_sandwich():
     params = ConfigModelParams(k=3, n=8, seed=9)
-    caps = ExperimentCaps(gonality_cap=10, cheeger_cap=12, separator_cap=12)
+    caps = ExperimentCaps(gonality_cap=10, cheeger_cap=12)
     records, summary = run_experiment(params, 12, caps)
     assert len(records) == 12
     assert summary.sandwich_violations == 0
@@ -99,11 +100,36 @@ def test_run_experiment_records_and_sandwich():
 
 def test_run_experiment_thread_invariance():
     params = ConfigModelParams(k=3, n=8, seed=13)
-    caps = ExperimentCaps(gonality_cap=8, cheeger_cap=10, separator_cap=10)
+    caps = ExperimentCaps(gonality_cap=8, cheeger_cap=10)
     serial_records, serial_summary = run_experiment(params, 6, caps, threads=1)
     parallel_records, parallel_summary = run_experiment(params, 6, caps, threads=3)
     assert serial_records == parallel_records
     assert serial_summary == parallel_summary
+
+
+def test_pool_has_at_most_one_worker_per_sample(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(randgraph, "ProcessPoolExecutor", InlinePool)
+    params = ConfigModelParams(k=3, n=8, seed=13)
+    records, _ = run_experiment(params, 2, threads=64)
+    assert sizes == [2]
+    assert records == run_experiment(params, 2)[0]
 
 
 def test_disconnected_samples_skipped_not_fatal():
