@@ -187,7 +187,7 @@ def full_report(
     bound and, when `upper_bounds` is set, the genus and independence upper
     bounds.  A Cheeger scan or separator search stopped by the budget is
     excluded from the lower-bound fold (soundness firewall); it, or a
-    stopped independent-set search, is recorded in `notes` and flags
+    stopped vertex-cover search, is recorded in `notes` and flags
     `budget_limited`.
     """
     if not g.is_connected():

@@ -41,12 +41,16 @@ class SearchBudget:
     """Caps for exhaustive searches.
 
     max_steps: step cap of each search (Cheeger scan, separator search,
-        independent-set search, one whole gonality search, one rank test).
+        one whole gonality search, one rank test); negative is refused.
     deadline: absolute time.monotonic() stamp, or None for unlimited.
     """
 
     max_steps: int = 2_000_000
     deadline: float | None = None
+
+    def __post_init__(self):
+        if self.max_steps < 0:
+            raise ValueError("budget steps must not be negative")
 
     @classmethod
     def with_seconds(cls, seconds: float | None, **kwargs) -> "SearchBudget":

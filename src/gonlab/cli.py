@@ -212,14 +212,7 @@ def cmd_gonality(args) -> int:
             args.format,
         )
         return EXIT_OK
-    emit(
-        {
-            "lower": result.lower,
-            "upper": result.upper,
-            "reason": result.reason,
-        },
-        args.format,
-    )
+    emit(result, args.format)  # the bracket's fields are the keys
     return EXIT_BUDGET
 
 
@@ -276,7 +269,7 @@ def cmd_random(args) -> int:
             (outdir / f"sample_{record.index:04d}.txt").write_text(g.to_edge_list_text())
     emit(
         {
-            "params": {"k": params.k, "n": params.n, "seed": params.seed, "mode": params.mode},
+            "params": params,
             "records": records,
             "summary": summary,
         },

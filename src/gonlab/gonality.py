@@ -1,4 +1,4 @@
-"""Exact gonality certificates and the two cheap upper bounds.
+"""Exact gonality certificates and the genus and independence upper bounds.
 
 The search ascends through divisor degrees, exhaustively refuting positive
 rank below the answer.  A degree level holds a positive-rank divisor iff
@@ -7,16 +7,21 @@ positive-rank divisor is one), so only those candidates are generated, in
 ascending colex order, by Dhar's burning algorithm.  The search never
 needs to pass the smaller of the genus bound and the independence bound,
 because a positive-rank witness of that degree is guaranteed to exist.
+
+The independence bound has no search of its own: a minimum vertex cover
+is the separator B_u at u = 1/n, so `expansion.b_u` finds it.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
 from gonlab.divisor import Divisor
-from gonlab.graph import Multigraph, _adjacency_masks, _mask_tuple, genus
+from gonlab.expansion import b_u
+from gonlab.graph import Multigraph, genus
 from gonlab.reduction import _positive_rank_obstruction, _reduced_divisors, _vertex_order
 
 
@@ -67,6 +72,8 @@ def exact_gonality(
     """
     if not g.is_connected():
         raise ValueError("gonality search requires a connected graph")
+    if max_degree is not None and max_degree < 0:
+        raise ValueError("max_degree must not be negative")
     upper = min(
         genus_upper_bound(g),
         max(1, complement_divisor(g, greedy_independent_set(g)).degree()),
@@ -127,52 +134,6 @@ def greedy_independent_set(g: Multigraph) -> frozenset[int]:
     return frozenset(chosen)
 
 
-def max_independent_set(
-    g: Multigraph, budget: SearchBudget = DEFAULT_BUDGET
-) -> tuple[frozenset[int], bool]:
-    """Branch-and-bound maximum independent set, on bitmasks.
-
-    Each node ticks the meter once and prunes when the picked vertices
-    plus every candidate cannot beat the best set.  Otherwise it branches
-    on the candidate with the most neighbours among the candidates, lowest
-    index first: take it (dropping its neighbours), then leave it out.
-
-    Returns (set, exact).  When the step or time budget runs out the best
-    set found so far is returned with exact=False; it is still independent,
-    so any bound derived from it stays valid.
-    """
-    adj = _adjacency_masks(g)
-    best = sum(1 << v for v in greedy_independent_set(g))
-    best_size = best.bit_count()
-    tick = budget.meter("independent set search").tick
-
-    def expand(cand: int, picked: int, size: int):
-        nonlocal best, best_size
-        tick()
-        if size + cand.bit_count() <= best_size:
-            return
-        if not cand:
-            best, best_size = picked, size  # strictly larger: the prune above passed
-            return
-        pick, most = 0, -1
-        rest = cand
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            degree = (adj[bit.bit_length() - 1] & cand).bit_count()
-            if degree > most:
-                pick, most = bit, degree
-        expand(cand & ~(pick | adj[pick.bit_length() - 1]), picked | pick, size + 1)
-        expand(cand ^ pick, picked, size)
-
-    try:
-        expand((1 << g.n) - 1, 0, 0)
-        exact = True
-    except BudgetExceededError:
-        exact = False
-    return frozenset(_mask_tuple(best)), exact
-
-
 def independence_upper_bound(
     g: Multigraph, budget: SearchBudget = DEFAULT_BUDGET
 ) -> tuple[int, bool]:
@@ -185,13 +146,22 @@ def independence_upper_bound(
     vertices, m parallel edges, gonality 2) the unweighted value n - alpha
     = 1 is not even a correct bound.
 
-    Returns (bound, exact).  When the budget stops the search, the bound
-    comes from the best independent set found so far, with exact=False:
-    still valid, just weaker.  Floored at 1: gonality is at least 1, and on
-    a single vertex the complement is empty.
+    The set is the complement of a minimum vertex cover, the separator B_u
+    at u = 1/n, searched from the greedy set's complement.  On multigraphs
+    the weights depend on the set, so the lighter of its and the greedy
+    set's complement divisors is taken: never weaker than the greedy bound.
+
+    Returns (bound, exact), exact when the cover is certified minimum; the
+    cover of a stopped search still gives a valid bound.  Floored at 1:
+    gonality is at least 1, and on a single vertex the complement is empty.
     """
-    indep, exact = max_independent_set(g, budget)
-    return max(1, complement_divisor(g, indep).degree()), exact
+    if g.n == 1:
+        return 1, True
+    greedy = greedy_independent_set(g)
+    everything = frozenset(range(g.n))
+    cert = b_u(g, Fraction(1, g.n), budget, seed=everything - greedy)
+    bound = min(complement_divisor(g, s).degree() for s in (everything - cert.separator, greedy))
+    return max(1, bound), cert.optimal
 
 
 def complement_divisor(g: Multigraph, independent: frozenset[int]) -> Divisor:

@@ -16,6 +16,7 @@ from gonlab.budget import SearchBudget
 from gonlab.expansion import b_u, cheeger_profile
 from gonlab.gonality import GonalityCertificate, exact_gonality
 from gonlab.graph import Multigraph, named_graph
+from oracles import brute_alpha
 
 
 def _grid_inputs(g, budget=None):
@@ -64,16 +65,14 @@ def test_pappus_exact_separator_rows(pappus):
     assert u == Fraction(4, 9)
 
 
-def test_separator_at_smallest_u_is_vertex_cover(corpus):
+def test_separator_at_smallest_u_is_vertex_cover(corpus, pappus):
     """Components of size <= 1 means the removed set is a vertex cover, so
     B at u = 1/n must equal n - alpha."""
-    from gonlab.gonality import max_independent_set
-
-    for g in corpus[:12]:
+    assert brute_alpha(pappus) == 9
+    for g in corpus + [pappus]:
         cert = b_u(g, Fraction(1, g.n))
-        indep, exact = max_independent_set(g)
-        assert exact
-        assert cert.size == g.n - len(indep)
+        assert cert.optimal
+        assert cert.size == g.n - brute_alpha(g)
 
 
 def test_cheeger_grid_refuses_irregular():
@@ -291,13 +290,13 @@ CUBIC_16 = Multigraph.from_edges(
             named_graph("pappus"),
             [("cheeger scan", 14328)]
             + [("separator search", c) for c in (42, 55, 161, 224, 345, 827, 1818, 2750, 4056)]
-            + [("independent set search", 83)],
+            + [("separator search", 3)],
         ),
         (
             CUBIC_16,
             [("cheeger scan", 3742)]
             + [("separator search", c) for c in (27, 49, 157, 225, 259, 452, 672, 524)]
-            + [("independent set search", 87)],
+            + [("separator search", 13)],
         ),
     ],
     ids=["pappus", "cubic16"],

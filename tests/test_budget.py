@@ -4,12 +4,12 @@ step cap or deadline of 0 stops it at its first step.
 Each deadline input needs well over three times the deadline without a
 budget (2-core x86-64, Python 3.11: K22 Cheeger scan 3.7 s, where K20
 takes 0.9 s and K21 1.6 s, separator search on a quartic n=32 at
-u=10/32 4.1 s, independent set on cycle:120 over 30 s, gonality search
-on a quartic n=18 8.6 s, cycle:300 gonality search 1.7 s, nearly all of
-it the rank test of its first degree-2 candidate, which is the witness,
-rank test on path:800 1.5 s).  A call must come back within the deadline
-plus one second, either flagged as incomplete or by raising
-BudgetExceededError.
+u=10/32 4.1 s, vertex cover of a cubic n=200 (seed 7) over 30 s,
+gonality search on a quartic n=18 8.6 s, cycle:300 gonality search
+1.7 s, nearly all of it the rank test of its first degree-2 candidate,
+which is the witness, rank test on path:800 1.5 s).  A call must come
+back within the deadline plus one second, either flagged as incomplete
+or by raising BudgetExceededError.
 """
 
 import time
@@ -21,7 +21,7 @@ from conftest import complete_graph
 from gonlab.budget import BudgetExceededError, SearchBudget
 from gonlab.divisor import parse_divisor
 from gonlab.expansion import b_u, cheeger_profile
-from gonlab.gonality import GonalityBracket, exact_gonality, max_independent_set
+from gonlab.gonality import GonalityBracket, exact_gonality, independence_upper_bound
 from gonlab.graph import named_graph
 from gonlab.randgraph import ConfigModelParams, sample_configuration
 from gonlab.reduction import find_rank_obstruction
@@ -54,8 +54,10 @@ ENGINES = {
         lambda budget: b_u(_quartic(32), Fraction(10, 32), budget),
         lambda cert: not cert.optimal,
     ),
-    "max_independent_set": (
-        lambda budget: max_independent_set(named_graph("cycle:120"), budget),
+    "independence_upper_bound": (
+        lambda budget: independence_upper_bound(
+            sample_configuration(ConfigModelParams(k=3, n=200, seed=7)), budget
+        ),
         lambda result: not result[1],
     ),
     "exact_gonality": (
@@ -97,8 +99,8 @@ ZERO_CAP_ENGINES = {
         lambda budget: b_u(named_graph("cycle:8"), Fraction(1, 4), budget),
         lambda cert: not cert.optimal,
     ),
-    "max_independent_set": (
-        lambda budget: max_independent_set(named_graph("cycle:8"), budget),
+    "independence_upper_bound": (
+        lambda budget: independence_upper_bound(named_graph("cycle:8"), budget),
         lambda result: not result[1],
     ),
     "exact_gonality": (
@@ -110,6 +112,13 @@ ZERO_CAP_ENGINES = {
         _never_partial,
     ),
 }
+
+
+def test_negative_step_cap_is_refused():
+    with pytest.raises(ValueError, match="must not be negative"):
+        SearchBudget(max_steps=-1)
+    with pytest.raises(ValueError, match="must not be negative"):
+        SearchBudget.with_seconds(1, max_steps=-3)
 
 
 @pytest.mark.parametrize("cap", ["seconds", "steps"])

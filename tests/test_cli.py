@@ -324,6 +324,20 @@ def test_nan_budget_seconds_is_an_input_error(capsys, monkeypatch, flag, env):
     assert "not nan" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--budget", "-3", "budget steps"), ("--max-degree", "-5", "max_degree")],
+    ids=["budget", "max-degree"],
+)
+def test_negative_cap_is_an_input_error(capsys, flag, value, message):
+    """A negative cap would act as 0 with a wrong message, or print a
+    bracket with a negative lower end."""
+    assert main(["gonality", "cycle:8", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{message} must not be negative" in captured.err
+
+
 def test_infinite_budget_seconds_is_no_deadline(capsys):
     code, payload = run_json(capsys, "gonality", "cycle:8", "--budget-seconds", "inf")
     assert code == 0
@@ -411,8 +425,8 @@ def test_gonality_step_cap_counts_steps(capsys):
     ids=lambda argv: argv[0],
 )
 def test_budget_flag_accepted(argv):
-    """The step cap reaches the Cheeger scan, the separator search and the
-    independent-set search."""
+    """The step cap reaches the Cheeger scan and the separator search, which
+    also finds the independence bound's vertex cover."""
     assert build_parser().parse_args(argv).budget == 0
 
 

@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import complete_graph
 from gonlab import gonality
 from gonlab.budget import SearchBudget
 from gonlab.divisor import Divisor
+from gonlab.expansion import b_u
 from gonlab.gonality import (
     GonalityBracket,
     GonalityCertificate,
@@ -16,13 +18,11 @@ from gonlab.gonality import (
     genus_upper_bound,
     greedy_independent_set,
     independence_upper_bound,
-    max_independent_set,
 )
 from gonlab.graph import Multigraph, genus, named_graph
 from gonlab.reduction import has_positive_rank
 from gonlab.randgraph import ConfigModelParams, sample_configuration
 from oracles import (
-    brute_alpha,
     brute_gonality,
     brute_reduced_witness,
     rescan_greedy_independent_set,
@@ -112,6 +112,13 @@ def test_max_degree_cap_returns_bracket():
     assert result.lower == 2
 
 
+def test_max_degree_cap_of_zero_is_valid_and_negative_is_refused():
+    g = named_graph("cycle:6")
+    assert exact_gonality(g, max_degree=0) == GonalityBracket(1, 2, "search capped at degree 0")
+    with pytest.raises(ValueError, match="must not be negative"):
+        exact_gonality(g, max_degree=-5)
+
+
 def test_genus_upper_bound_values(pappus, corpus):
     """An upper bound on every corpus graph, and exact below genus 2:
     trees have gonality 1 and genus-1 graphs gonality 2."""
@@ -143,9 +150,6 @@ def test_independence_bound_complete_graph():
 
 
 def test_independence_bound_pappus(pappus):
-    indep, exact = max_independent_set(pappus)
-    assert exact
-    assert len(indep) == 9
     assert independence_upper_bound(pappus) == (9, True)
 
 
@@ -174,27 +178,33 @@ def test_greedy_independent_set_follows_its_tie_rule(corpus, pappus):
         assert greedy_independent_set(g) == rescan_greedy_independent_set(g)
 
 
-def test_max_independent_set_is_independent_and_maximal(corpus, pappus):
-    assert brute_alpha(pappus) == 9
+def test_stopped_independence_bound_is_no_weaker_than_greedy(corpus, pappus):
+    """A cover search stopped at its first step still returns a bound no
+    weaker than the greedy set's complement divisor."""
     for g in corpus + [pappus]:
-        s, exact = max_independent_set(g)
-        assert exact
-        assert all(w not in s for v in s for w, _ in g.neighbors(v))
-        assert len(s) == brute_alpha(g)
+        greedy = complement_divisor(g, greedy_independent_set(g)).degree()
+        bound, _ = independence_upper_bound(g, SearchBudget(max_steps=0))
+        assert bound <= max(1, greedy)
 
 
-def test_max_independent_set_honours_deadline():
-    g = named_graph("cycle:120")
-    start = time.monotonic()
-    s, exact = max_independent_set(g, SearchBudget.with_seconds(0.5))
-    assert time.monotonic() - start < 3
-    assert not exact
-    assert all(w not in s for v in s for w, _ in g.neighbors(v))
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (named_graph("cycle:200"), 100),
+        (sample_configuration(ConfigModelParams(k=3, n=60, seed=7)), 35),
+    ],
+    ids=["cycle200", "cubic60"],
+)
+def test_independence_bound_is_certified_within_a_deadline(g, expected):
+    """The cover search's packing bound proves these optima quickly; a
+    prune that counts only picked vertices plus candidates cannot."""
+    assert independence_upper_bound(g, SearchBudget.with_seconds(3)) == (expected, True)
 
 
 def test_exact_gonality_deadline_goes_to_the_search():
-    """The upper bound must not spend the deadline before degree 1: the
-    exact independent set of cycle:60 alone takes minutes."""
+    """The upper end must not spend the deadline before degree 1: it comes
+    from the greedy independent set in linear time, not from the cover
+    search, which on a cubic n=200 does not finish in 30 s."""
     start = time.monotonic()
     result = exact_gonality(named_graph("cycle:60"), SearchBudget.with_seconds(3))
     assert time.monotonic() - start < 1
@@ -204,8 +214,8 @@ def test_exact_gonality_deadline_goes_to_the_search():
 
 def test_complement_divisor_has_positive_rank(corpus, pappus):
     for g in corpus[:20] + [pappus]:
-        indep, _ = max_independent_set(g)
-        assert has_positive_rank(complement_divisor(g, indep))
+        cover = b_u(g, Fraction(1, g.n)).separator
+        assert has_positive_rank(complement_divisor(g, frozenset(range(g.n)) - cover))
 
 
 def test_complement_divisor_weighted_for_parallel_edges():
