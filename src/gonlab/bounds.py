@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
 from gonlab.expansion import CheegerProfile, SeparatorCertificate, b_u, cheeger_profile
-from gonlab.gonality import genus_upper_bound, independence_upper_bound
+from gonlab.gonality import genus_upper_bound, greedy_independent_set, independence_upper_bound
 from gonlab.graph import Multigraph, genus
 from gonlab.spectral import SpectralBound, gonality_bound_bracket, spectral_gonality_bound
 
@@ -185,7 +185,9 @@ def full_report(
 
     The stages are the exact Cheeger profile, the separators, the spectral
     bound and, when `upper_bounds` is set, the genus and independence upper
-    bounds.  A Cheeger scan or separator search stopped by the budget is
+    bounds.  The separator of the first grid row, u = 1/n, is the minimum
+    vertex cover that the independence bound needs, so that search runs
+    once.  A Cheeger scan or separator search stopped by the budget is
     excluded from the lower-bound fold (soundness firewall); it, or a
     stopped vertex-cover search, is recorded in `notes` and flags
     `budget_limited`.
@@ -212,13 +214,18 @@ def full_report(
 
     separators: dict[int, SeparatorCertificate] = {}
     rows: tuple[GridRow, ...] = ()
+    cover: SeparatorCertificate | None = None
     if profile is not None:
-        # the points run up the grid, so each separator is valid for the next
-        # point; a budget stop returns a valid incumbent with optimal=False
-        seed: frozenset[int] = frozenset()
+        # row j = 1 (u = 1/n) is the vertex-cover search of the independence
+        # bound, with its seed; the points run up the grid, so each separator
+        # is valid for the next point; a budget stop returns a valid
+        # incumbent with optimal=False
+        seed = frozenset(range(g.n)) - greedy_independent_set(g)
         for point in profile.points:
             cert = b_u(g, point.u, budget, seed=seed)
             seed = cert.separator
+            if point.j == 1:
+                cover = cert
             if cert.optimal:
                 separators[point.j] = cert
             else:
@@ -242,11 +249,11 @@ def full_report(
     upper_genus = upper_independence = upper = None
     if upper_bounds:
         upper_genus = genus_upper_bound(g)
-        upper_independence, exact = independence_upper_bound(g, budget)
+        upper_independence, exact = independence_upper_bound(g, budget, cover)
         if not exact:
             notes.append(
-                f"independent set search exhausted budget: independence upper bound "
-                f"{upper_independence} comes from the best set found"
+                f"vertex-cover search exhausted budget: independence upper bound "
+                f"{upper_independence} comes from the best cover found"
             )
             budget_limited = True
         upper = min(upper_genus, upper_independence)

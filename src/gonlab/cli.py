@@ -130,7 +130,10 @@ def cmd_cheeger(args) -> int:
 
 def cmd_bu(args) -> int:
     g = resolve_graph(args.graph)
-    u = Fraction(args.u)
+    try:
+        u = Fraction(args.u)
+    except ZeroDivisionError:
+        raise ValueError(f"u={args.u} has a zero denominator") from None
     cert = b_u(g, u, build_budget(args))
     emit(cert, args.format)
     return EXIT_OK if cert.optimal else EXIT_BUDGET

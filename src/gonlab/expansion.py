@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
-from gonlab.graph import (
-    Multigraph,
-    _adjacency_masks,
-    _mask_tuple,
-    _multiplicity_layers,
-    components,
-)
+from gonlab.graph import Multigraph, _mask_tuple, components
 
 
 @dataclass(frozen=True)
@@ -89,9 +83,9 @@ def _scan_connected_subsets(g: Multigraph, max_size: int, budget: SearchBudget):
     that holds the lowest vertex in which two sets differ has the
     lexicographically smaller sorted tuple.
     """
-    adj = _adjacency_masks(g)
-    layers = _multiplicity_layers(g)
-    val = [g.val(w) for w in range(g.n)]
+    adj = g._masks
+    layers = g._layers
+    val = g._val
     least = [g.m + 1] * (max_size + 1)  # above any boundary
     masks = [0] * (max_size + 1)
     tick = budget.meter("cheeger scan").tick
@@ -152,7 +146,9 @@ def cheeger_profile(g: Multigraph, budget: SearchBudget = DEFAULT_BUDGET) -> Che
     return CheegerProfile(n=g.n, points=tuple(points))
 
 
-def _packing(adj: list[int], free: int, t: int, room: int, parent: list[int], subtree: list[int]):
+def _packing(
+    adj: tuple[int, ...], free: int, t: int, room: int, parent: list[int], subtree: list[int]
+):
     """(count, witness) for the components of the free vertices.
 
     Components are walked by BFS in order of their smallest vertex, the
@@ -199,7 +195,30 @@ def _packing(adj: list[int], free: int, t: int, room: int, parent: list[int], su
     return count, witness
 
 
-def _greedy_separator(adj: list[int], layers: list[list[int]], free: int, t: int) -> int:
+def _violation(adj: tuple[int, ...], free: int, t: int) -> list[int] | None:
+    """The first t+1 vertices, in the BFS order of `_packing`, of the first
+    component of the free vertices larger than t, or None when no component
+    is.  The walk stops as soon as it has them."""
+    while free.bit_count() > t:
+        bit = free & -free
+        free ^= bit
+        order = [bit.bit_length() - 1]
+        append = order.append
+        for x in order:
+            new = adj[x] & free
+            free ^= new
+            while new:
+                bit = new & -new
+                new ^= bit
+                append(bit.bit_length() - 1)
+            if len(order) > t:
+                return order[: t + 1]
+    return None
+
+
+def _greedy_separator(
+    adj: tuple[int, ...], layers: tuple[tuple[int, ...], ...], free: int, t: int
+) -> int:
     """Mask of a valid separator: while the largest component of the free
     vertices (among equals, the one holding the smallest vertex) has more
     than t vertices, remove its vertex with the most edges inside it,
@@ -255,7 +274,13 @@ def b_u(
     vertex in S names the one branch whose subtree holds S.  A witness whose
     vertices are all kept therefore ends its node.  Pruning combines the
     incumbent with a packing lower bound from vertex-disjoint violating
-    subsets, which holds whatever is kept.
+    subsets, which holds whatever is kept.  Where the packing cannot prune,
+    it is skipped: at the last level (one removal below the incumbent) a
+    node becomes the incumbent or is pruned, and an early-stopping walk
+    (`_violation`) decides which by looking for one component larger than
+    t; where too few free vertices are left for a pruning packing, the same
+    walk finds the witness.  Such a node ticks once and decides as the
+    packing would, so the search tree is the one the packing alone gives.
 
     The incumbent starts as the greedy separator, or as `seed` when that is
     strictly smaller.  A seed must be a valid separator (ValueError
@@ -272,16 +297,16 @@ def b_u(
     if t < 1:
         raise ValueError(f"u={u} allows no vertices per component (u*n < 1)")
 
-    adj = _adjacency_masks(g)
+    adj = g._masks
     full = (1 << g.n) - 1
     parent = [0] * (g.n + 1)
     subtree = [0] * (g.n + 1)
-    incumbent = _greedy_separator(adj, _multiplicity_layers(g), full, t)
+    incumbent = _greedy_separator(adj, g._layers, full, t)
     if seed:
         if not all(0 <= v < g.n for v in seed):
             raise ValueError("seed vertex out of range")
         seed_mask = sum(1 << v for v in seed)
-        if _packing(adj, full ^ seed_mask, t, 1, parent, subtree)[0]:
+        if _violation(adj, full ^ seed_mask, t) is not None:
             raise ValueError(f"seed leaves a component larger than {t}")
         if seed_mask.bit_count() < incumbent.bit_count():
             incumbent = seed_mask
@@ -298,9 +323,15 @@ def b_u(
         room = best - size
         if room <= 0:  # a sibling may have lowered `best` to this size
             return
-        count, witness = _packing(adj, full ^ mask, t, room, parent, subtree)
-        if count >= room:
-            return
+        free = full ^ mask
+        if room > 1 and free.bit_count() >= room * (t + 1):
+            count, witness = _packing(adj, free, t, room, parent, subtree)
+            if count >= room:
+                return
+        else:  # `room` disjoint (t+1)-subsets do not fit, or one already prunes
+            witness = _violation(adj, free, t)
+            if witness is not None and room == 1:
+                return
         if witness is None:
             incumbent, best = mask, size  # strictly smaller: room > 0
             return

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
 from gonlab.divisor import Divisor
-from gonlab.expansion import b_u
+from gonlab.expansion import SeparatorCertificate, b_u
 from gonlab.graph import Multigraph, genus
 from gonlab.reduction import _positive_rank_obstruction, _reduced_divisors, _vertex_order
 
@@ -135,7 +135,9 @@ def greedy_independent_set(g: Multigraph) -> frozenset[int]:
 
 
 def independence_upper_bound(
-    g: Multigraph, budget: SearchBudget = DEFAULT_BUDGET
+    g: Multigraph,
+    budget: SearchBudget = DEFAULT_BUDGET,
+    cover: SeparatorCertificate | None = None,
 ) -> tuple[int, bool]:
     """Upper bound from the complement of an independent set, which carries
     a positive-rank divisor.  Equals n - alpha(G) on simple graphs.
@@ -151,6 +153,10 @@ def independence_upper_bound(
     the weights depend on the set, so the lighter of its and the greedy
     set's complement divisors is taken: never weaker than the greedy bound.
 
+    `cover`, when given, is the certificate of that very search, already
+    run (the bound report's first grid row is this search), and no search
+    is run here; it must be a separator at u = 1/n (ValueError otherwise).
+
     Returns (bound, exact), exact when the cover is certified minimum; the
     cover of a stopped search still gives a valid bound.  Floored at 1:
     gonality is at least 1, and on a single vertex the complement is empty.
@@ -159,9 +165,14 @@ def independence_upper_bound(
         return 1, True
     greedy = greedy_independent_set(g)
     everything = frozenset(range(g.n))
-    cert = b_u(g, Fraction(1, g.n), budget, seed=everything - greedy)
-    bound = min(complement_divisor(g, s).degree() for s in (everything - cert.separator, greedy))
-    return max(1, bound), cert.optimal
+    if cover is None:
+        cover = b_u(g, Fraction(1, g.n), budget, seed=everything - greedy)
+    elif cover.max_component != 1:
+        raise ValueError(
+            f"a vertex cover leaves single vertices, not components of {cover.max_component}"
+        )
+    bound = min(complement_divisor(g, s).degree() for s in (everything - cover.separator, greedy))
+    return max(1, bound), cover.optimal
 
 
 def complement_divisor(g: Multigraph, independent: frozenset[int]) -> Divisor:

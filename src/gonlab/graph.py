@@ -29,7 +29,11 @@ class Multigraph:
 
     `edges` is the canonical form: sorted tuple of ``(u, v, mult)`` with
     ``u < v`` and ``mult >= 1``.  Equality and hashing use only `n` and
-    `edges`; adjacency structures are derived caches.
+    `edges`; adjacency structures are derived caches.  For the bitmask
+    engines, `_masks[v]` is the int bitmask of the neighbours of v and
+    `_layers[v][i]` the bitmask of those joined to v by more than i
+    parallel edges: the multiplicity from v into a set S is the sum of the
+    popcounts of layer & S, and a simple graph has one layer, `_masks[v]`.
     """
 
     n: int
@@ -38,12 +42,16 @@ class Multigraph:
         init=False, repr=False, compare=False
     )
     _val: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _layers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _connected: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("vertex count must be positive")
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         val = [0] * self.n
+        masks = [0] * self.n
         for u, v, mult in self.edges:
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
@@ -53,8 +61,20 @@ class Multigraph:
             adj[v].append((u, mult))
             val[u] += mult
             val[v] += mult
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        layers = tuple(
+            tuple(
+                sum(1 << x for x, mult in a if mult > i)
+                for i in range(max((mult for _, mult in a), default=0))
+            )
+            for a in adj
+        )
         object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
         object.__setattr__(self, "_val", tuple(val))
+        object.__setattr__(self, "_masks", tuple(masks))
+        object.__setattr__(self, "_layers", layers)
+        object.__setattr__(self, "_connected", len(components(self)) == 1)
 
     @classmethod
     def from_edges(cls, n: int, edge_pairs) -> "Multigraph":
@@ -98,7 +118,7 @@ class Multigraph:
         return k if all(d == k for d in self._val) else None
 
     def is_connected(self) -> bool:
-        return len(components(self)) == 1
+        return self._connected
 
     def canonical_hash(self) -> str:
         """Stable hex digest of the canonical edge list (for experiment records)."""
@@ -247,28 +267,6 @@ def components(g: Multigraph, excluded: frozenset[int] | set[int] = frozenset())
                     stack.append(w)
         out.append(frozenset(comp))
     return out  # already ordered by smallest vertex: starts scan ascending
-
-
-def _adjacency_masks(g: Multigraph) -> list[int]:
-    """adj[v]: int bitmask of the neighbours of v, for the bitmask engines."""
-    adj = [0] * g.n
-    for u, v, _ in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
-def _multiplicity_layers(g: Multigraph) -> list[list[int]]:
-    """layers[v][i]: bitmask of the neighbours joined to v by more than i
-    parallel edges.  The multiplicity from v into a set S is then the sum
-    of the popcounts of layer & S; a simple graph has one layer, adj[v]."""
-    return [
-        [
-            sum(1 << x for x, mult in g.neighbors(v) if mult > i)
-            for i in range(max((mult for _, mult in g.neighbors(v)), default=0))
-        ]
-        for v in range(g.n)
-    ]
 
 
 def _mask_tuple(mask: int) -> tuple[int, ...]:

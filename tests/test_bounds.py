@@ -14,7 +14,7 @@ from gonlab.bounds import (
 )
 from gonlab.budget import SearchBudget
 from gonlab.expansion import b_u, cheeger_profile
-from gonlab.gonality import GonalityCertificate, exact_gonality
+from gonlab.gonality import GonalityCertificate, exact_gonality, independence_upper_bound
 from gonlab.graph import Multigraph, named_graph
 from oracles import brute_alpha
 
@@ -228,6 +228,23 @@ def test_full_report_seeded_rows_match_unseeded_separators(corpus):
         assert [r.separator_size for r in report.rows] == [b_u(g, r.u).size for r in report.rows]
 
 
+def test_full_report_shares_the_cover_search(corpus, pappus):
+    """Row j = 1 is the independence bound's vertex-cover search with its
+    seed, so the report's bound and exactness are the standalone ones."""
+    for g in corpus + [pappus]:
+        report = full_report(g)
+        assert (report.upper_independence, not report.budget_limited) == independence_upper_bound(g)
+
+
+def test_full_report_notes_a_stopped_cover_search():
+    report = full_report(named_graph("cycle:12"), SearchBudget(max_steps=0), exact_cheeger_cap=0)
+    assert report.budget_limited
+    assert report.notes[-1] == (
+        "vertex-cover search exhausted budget: independence upper bound 6 "
+        "comes from the best cover found"
+    )
+
+
 def test_full_report_above_cheeger_cap_notes_skipped_scan():
     g = named_graph("pappus")
     report = full_report(g, exact_cheeger_cap=10)
@@ -289,14 +306,12 @@ CUBIC_16 = Multigraph.from_edges(
         (
             named_graph("pappus"),
             [("cheeger scan", 14328)]
-            + [("separator search", c) for c in (42, 55, 161, 224, 345, 827, 1818, 2750, 4056)]
-            + [("separator search", 3)],
+            + [("separator search", c) for c in (3, 55, 161, 224, 345, 827, 1818, 2750, 4056)],
         ),
         (
             CUBIC_16,
             [("cheeger scan", 3742)]
-            + [("separator search", c) for c in (27, 49, 157, 225, 259, 452, 672, 524)]
-            + [("separator search", 13)],
+            + [("separator search", c) for c in (13, 49, 157, 225, 259, 452, 672, 524)],
         ),
     ],
     ids=["pappus", "cubic16"],
@@ -304,7 +319,9 @@ CUBIC_16 = Multigraph.from_edges(
 def test_full_report_work_counts_are_pinned(g, counts):
     """Every search's step count in the bound report.  The engines' search
     trees, branch orders and tie-breaks decide these counts, so a rewrite
-    that keeps them keeps the trees."""
+    that keeps them keeps the trees.  The first grid row, u = 1/n, is also
+    the vertex-cover search of the independence bound, so no cover search
+    follows the rows."""
     budget = RecordingBudget()
     full_report(g, budget)
     assert [(m.what, m.count) for m in budget.meters] == counts

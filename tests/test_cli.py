@@ -135,6 +135,23 @@ def test_bu_command(capsys):
     assert payload["optimal"] is True
 
 
+@pytest.mark.parametrize("u", ["1/0", "abc"])
+def test_bu_malformed_u_is_an_input_error(u, capsys):
+    assert main(["bu", "pappus", "--u", u]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_bounds_stopped_cover_search_note(capsys):
+    code, payload = run_json(capsys, "bounds", "cycle:12", "--cheeger-cap", "0", "--budget", "0")
+    assert code == 2
+    assert payload["notes"][-1] == (
+        "vertex-cover search exhausted budget: independence upper bound 6 "
+        "comes from the best cover found"
+    )
+
+
 def test_reduce_command(capsys):
     code, payload = run_json(capsys, "reduce", "path:2", "1:1", "--at", "0")
     assert code == 0

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from conftest import complete_graph
 from gonlab.budget import BudgetExceededError, SearchBudget
 from gonlab.expansion import (
+    _packing,
+    _violation,
     b_u,
     cheeger_profile,
     edge_boundary,
@@ -194,3 +197,25 @@ def test_b_u_budget_returns_bracket(pappus):
     comps = components(pappus, cert.separator)
     assert all(len(c) <= 9 for c in comps)
 
+
+def test_violation_agrees_with_components(corpus, pappus):
+    """The early-stopping walk that decides the separator search's last
+    level, and finds the branch subset where no packing can prune, against
+    `components`: it names a subset exactly when some component of the free
+    vertices is larger than t, and the subset is the packing's witness, t+1
+    connected vertices of the first such component."""
+    rng = random.Random(41)
+    for g in corpus + [pappus]:
+        parent, subtree = [0] * (g.n + 1), [0] * (g.n + 1)
+        for _ in range(6):
+            free = rng.getrandbits(g.n)
+            comps = components(g, frozenset(v for v in range(g.n) if not free >> v & 1))
+            for t in range(1, g.n + 1):
+                witness = _violation(g._masks, free, t)
+                large = [c for c in comps if len(c) > t]
+                assert witness == _packing(g._masks, free, t, g.n + 1, parent, subtree)[1]
+                if not large:
+                    assert witness is None
+                    continue
+                assert len(witness) == t + 1 and set(witness) <= large[0]
+                assert len(components(g, frozenset(range(g.n)) - set(witness))) == 1

@@ -129,6 +129,20 @@ def test_components_partition_property(corpus):
                 assert not ((u in c) != (v in c) and u not in excluded and v not in excluded)
 
 
+def test_bitmask_tables_and_connectivity_match_the_edges(corpus, pappus):
+    """The derived caches the bitmask engines read: neighbour masks,
+    multiplicity layers and connectivity, recomputed from the edge list."""
+    split = Multigraph.from_edges(5, [(0, 1), (0, 1), (2, 3), (3, 4)])
+    for g in corpus + [pappus, split, named_graph("path:1")]:
+        for v in range(g.n):
+            assert g._masks[v] == sum(1 << w for w, _ in g.neighbors(v))
+            for w in range(g.n):
+                assert sum(layer >> w & 1 for layer in g._layers[v]) == g.eps(v, w)
+        assert g.is_connected() == (len(components(g)) == 1)
+    assert not split.is_connected()
+    assert split._layers[0] == (0b10, 0b10)
+
+
 def test_pappus_middle_ring_removal(pappus):
     comps = components(pappus, PAPPUS_MIDDLE_RING)
     sizes = sorted(len(c) for c in comps)
