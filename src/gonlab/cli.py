@@ -1,7 +1,7 @@
 """Command line front end: ``gonlab <subcommand> ...``.
 
-Exit codes: 0 success, 1 input error, 2 budget exhaustion (a partial
-answer is still emitted where the command has one).  JSON output is
+Exit codes: 0 success, 1 input or usage error, 2 budget exhaustion (a
+partial answer is still emitted where the command has one).  JSON output is
 canonical: keys sorted, compact separators, exact rationals rendered as
 "p/q" strings; re-serializing the parsed output reproduces it byte for
 byte.
@@ -325,9 +325,18 @@ def _add_common(parser: argparse.ArgumentParser, graph: bool = True, budget: boo
         parser.add_argument("--budget-seconds", type=float, default=None, help="wall clock cap")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting EXIT_INPUT: its own code 2 is
+    this tool's code for a stopped search."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache  # built on first use, then shared by every call of `main`
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gonlab", description=__doc__)
+    parser = _Parser(prog="gonlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cheeger", help="exact u-Cheeger profile over the grid")

@@ -13,9 +13,18 @@ order.  The unburnt set may be fired several times at once when chips
 allow; every intermediate state stays effective away from v, and reduced
 forms are unique, so batching cannot change the result.
 
+One kernel, `_burn_pass`, runs every burning pass.  It keeps a single
+`room` list: a vertex's chips minus its burnt-edge multiplicity, negative
+once it has burnt.  The pass stops as soon as the last vertex burns, and
+`_fire_unburnt` fires the unburnt set from the room the pass leaves.
+
 The gonality search needs only the 0-reduced effective divisors with a
 chip on vertex 0: `_reduced_divisors` generates them by burning, and
-`_positive_rank_obstruction` tests them at every other vertex.
+`_positive_rank_obstruction` tests them at every other vertex.  Each test
+at v reduces towards v only until v holds its first chip.  That is sound:
+the candidate is effective, so every state of the loop is an effective
+divisor equivalent to it, v (always burnt) only gains chips, and the
+v-reduced form holds the most chips on v of all those states.
 """
 
 from __future__ import annotations
@@ -40,26 +49,51 @@ class BurnResult:
 
 
 def _burn_pass(adj, chips, v):
-    """One burning fixed point.  Returns (burnt flags, burnt-edge counts).
+    """One burning fixed point from v on chips effective away from v.
 
-    For every vertex left unburnt, the count is the total multiplicity of
-    its edges into the burnt side.  The fixed point is unique, so scan
-    order does not matter.
+    Returns None once every vertex has burnt, else the `room` list: each
+    vertex's chips minus its burnt-edge multiplicity, negative exactly on
+    the burnt vertices.  The fixed point is unique, so scan order does not
+    matter, and the pass stops at the last vertex to burn.
     """
-    n = len(chips)
-    burnt = [False] * n
-    counts = [0] * n
-    burnt[v] = True
+    room = list(chips)
+    room[v] = -1
+    left = len(room) - 1  # vertices not yet burnt
+    if not left:
+        return None
     stack = [v]
     while stack:
         for w, mult in adj[stack.pop()]:
-            if not burnt[w]:
-                heat = counts[w] + mult
-                counts[w] = heat
-                if heat > chips[w]:
-                    burnt[w] = True
+            r = room[w]
+            if r >= 0:
+                r -= mult
+                room[w] = r
+                if r < 0:
+                    left -= 1
+                    if not left:
+                        return None
                     stack.append(w)
-    return burnt, counts
+    return room
+
+
+def _fire_unburnt(adj, chips, room) -> None:
+    """Fire the unburnt set of a pass in place, as often as every vertex of
+    it allows.
+
+    Per firing an unburnt vertex w sends chips[w] - room[w] chips into the
+    burnt side, and room[w] >= 0, so one firing always fits and the state
+    stays effective away from the source.  Only unburnt vertices with a
+    burnt neighbour move chips.
+    """
+    border = [w for w, r in enumerate(room) if 0 <= r < chips[w]]
+    if not border:
+        raise ValueError("graph must be connected for v-reduction")
+    times = min(chips[w] // (chips[w] - room[w]) for w in border)
+    for w in border:
+        chips[w] -= times * (chips[w] - room[w])
+        for x, mult in adj[w]:
+            if room[x] < 0:
+                chips[x] += times * mult
 
 
 def _bfs_dist(g: Multigraph, v: int) -> list[int]:
@@ -114,27 +148,9 @@ def _reduce_chips(g: Multigraph, chips: list[int], v: int) -> list[int]:
     if any(c < 0 for i, c in enumerate(chips) if i != v):
         _make_effective_away(g, chips, v)
     adj = g._adj
-    n = g.n
-    while True:
-        burnt, counts = _burn_pass(adj, chips, v)
-        if all(burnt):
-            return chips
-        times = None
-        for w in range(n):
-            if not burnt[w] and counts[w] > 0:
-                k = chips[w] // counts[w]
-                if times is None or k < times:
-                    times = k
-        if times is None:
-            raise ValueError("graph must be connected for v-reduction")
-        times = max(times, 1)
-        for w in range(n):
-            if not burnt[w]:
-                if counts[w]:
-                    chips[w] -= times * counts[w]
-                for x, mult in adj[w]:
-                    if burnt[x]:
-                        chips[x] += times * mult
+    while (room := _burn_pass(adj, chips, v)) is not None:
+        _fire_unburnt(adj, chips, room)
+    return chips
 
 
 def dhar_burn(d: Divisor, v: int) -> BurnResult:
@@ -144,10 +160,9 @@ def dhar_burn(d: Divisor, v: int) -> BurnResult:
         raise ValueError(f"vertex {v} out of range")
     if any(c < 0 for i, c in enumerate(d.chips) if i != v):
         raise ValueError("divisor must be effective away from the fire source")
-    burnt, _ = _burn_pass(g._adj, list(d.chips), v)
-    burnt_set = frozenset(i for i in range(g.n) if burnt[i])
-    unburnt_set = frozenset(i for i in range(g.n) if not burnt[i])
-    return BurnResult(v, burnt_set, unburnt_set, not unburnt_set)
+    room = _burn_pass(g._adj, d.chips, v)
+    unburnt = frozenset() if room is None else frozenset(i for i, r in enumerate(room) if r >= 0)
+    return BurnResult(v, frozenset(range(g.n)) - unburnt, unburnt, not unburnt)
 
 
 def v_reduce(d: Divisor, v: int) -> Divisor:
@@ -190,7 +205,7 @@ def _reduced_divisors(g: Multigraph, degree: int, tick=lambda: None):
             if spare:
                 chips[k] += 1
                 tick()
-                if all(_burn_pass(adj, chips, 0)[0]):
+                if _burn_pass(adj, chips, 0) is None:
                     spare -= 1
                     break
                 chips[k] -= 1
@@ -219,13 +234,29 @@ def _positive_rank_obstruction(g: Multigraph, chips, order, tick) -> int | None:
     `_vertex_order`) lists the others.  `tick` is called before each
     reduction, so a budget meter can stop a slow test part way.
     """
+    adj = g._adj
     for v in order:
         if chips[v]:
             continue  # v passes: its v-reduced form holds at least chips[v]
         tick()
-        if _reduce_chips(g, list(chips), v)[v] < 1:
+        if not _chip_reaches(adj, chips, v):
             return v
     return None
+
+
+def _chip_reaches(adj, chips, v) -> bool:
+    """True iff the v-reduced form of the effective `chips` holds a chip on v.
+
+    Runs the reduction towards v only until v holds its first chip, which
+    the module docstring shows is sound.
+    """
+    chips = list(chips)
+    while not chips[v]:
+        room = _burn_pass(adj, chips, v)
+        if room is None:
+            return False
+        _fire_unburnt(adj, chips, room)
+    return True
 
 
 def _positive_rank(g: Multigraph, chips, tick=lambda: None) -> bool:

@@ -1,13 +1,28 @@
 import random
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from gonlab.budget import SearchBudget
 from gonlab.graph import Multigraph, named_graph
 from gonlab.randgraph import ConfigModelParams, sample_configuration
+
+
+@dataclass(frozen=True)
+class RecordingBudget(SearchBudget):
+    """A budget that keeps every meter it opens, so a test can read the
+    step count of each search after the fact."""
+
+    meters: list = field(default_factory=list, compare=False)
+
+    def meter(self, what):
+        opened = super().meter(what)
+        self.meters.append(opened)
+        return opened
 
 
 def complete_graph(n: int) -> Multigraph:

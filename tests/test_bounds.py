@@ -1,9 +1,9 @@
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
 
+from conftest import RecordingBudget
 from gonlab.bounds import (
     cheeger_grid_bound,
     expansion_pipeline_constant,
@@ -274,19 +274,6 @@ def test_full_report_without_upper_bounds():
     assert lower_only.upper_genus is None and lower_only.upper_independence is None
     assert lower_only.lower == full.lower
     assert lower_only.rows == full.rows
-
-
-@dataclass(frozen=True)
-class RecordingBudget(SearchBudget):
-    """A budget that keeps every meter it opens, so a test can read the
-    step count of each search after the fact."""
-
-    meters: list = field(default_factory=list, compare=False)
-
-    def meter(self, what):
-        opened = super().meter(what)
-        self.meters.append(opened)
-        return opened
 
 
 # the first input of perfbench's cubic-bounds workload at seed 1

@@ -51,8 +51,31 @@ def test_cheeger_stopped_by_budget_exits_two(tmp_path, capsys):
 def test_cheeger_has_no_size_cap_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["cheeger", "pappus", "--exact-max-n", "4"])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("rank", "k4", "-1:1"), "required: divisor"),
+        (("bounds",), "required: graph"),
+    ],
+    ids=["rank", "bounds"],
+)
+def test_usage_errors_exit_one_not_the_budget_code(argv, message, capsys):
+    """A malformed command line is an input error (1), so a script cannot
+    mistake it for a stopped search (2); `--help` still exits 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: gonlab {argv[0]}")
+    assert message in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
 
 
 def test_cap_defaults_come_from_the_library():
@@ -73,7 +96,7 @@ def test_separators_have_no_size_cap_of_their_own(argv, capsys):
     """The Cheeger cap caps the scan and its separator searches together."""
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([*argv, "--separator-cap", "4"])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert "unrecognized arguments: --separator-cap 4" in capsys.readouterr().err
 
 
@@ -461,5 +484,5 @@ def test_budget_flags_only_where_read(argv, capsys):
     """`spectral` and `reduce` run no search, so they offer no budget flag."""
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import complete_graph
+from conftest import RecordingBudget, complete_graph
 from gonlab import gonality
 from gonlab.budget import SearchBudget
 from gonlab.divisor import Divisor
@@ -96,6 +96,36 @@ def test_pappus_rank_tests_count(pappus, monkeypatch):
     result = exact_gonality(pappus)
     assert (result.value, result.witness.chips) == (6, (6,) + (0,) * 17)
     assert len(calls) == 6947
+
+
+@pytest.mark.parametrize(
+    "seed, steps, value, witness",
+    [
+        (1, 298, 4, (3, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0)),
+        (2, 391, 4, (1, 0, 0, 0, 0, 2, 0, 1, 0, 0, 0, 0)),
+        (3, 245, 4, (2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0)),
+        (4, 102, 3, (1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0)),
+        (5, 849, 4, (1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1)),
+        (6, 489, 4, (1, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0, 0)),
+        (7, 492, 4, (1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0)),
+        (8, 491, 4, (1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0)),
+    ],
+)
+def test_gonality_search_steps_are_pinned_cubic12(seed, steps, value, witness):
+    """The gonality search's step count on cubic n = 12 samples (five of
+    the eight have parallel edges): one step per candidate-generating
+    burning pass and one per reduction of a rank test.  A kernel rewrite
+    that keeps these counts keeps the search tree and the rank tests."""
+    budget = RecordingBudget()
+    result = exact_gonality(sample_configuration(ConfigModelParams(k=3, n=12, seed=seed)), budget)
+    assert [(m.what, m.count) for m in budget.meters] == [("gonality search", steps)]
+    assert (result.value, result.witness.chips) == (value, witness)
+
+
+def test_gonality_search_steps_are_pinned_pappus(pappus):
+    budget = RecordingBudget()
+    exact_gonality(pappus, budget)
+    assert [(m.what, m.count) for m in budget.meters] == [("gonality search", 14137)]
 
 
 def test_budget_exhaustion_returns_bracket(pappus):

@@ -8,14 +8,22 @@ from gonlab.compositions import compositions_colex
 from gonlab.divisor import Divisor, fire_set, parse_divisor
 from gonlab.graph import Multigraph, named_graph
 from gonlab.reduction import (
+    _positive_rank_obstruction,
     _reduced_divisors,
+    _vertex_order,
     dhar_burn,
     find_rank_obstruction,
     has_positive_rank,
     rank_at_least,
     v_reduce,
 )
-from oracles import LatticeOracle, brute_positive_rank, brute_rank_at_least, burns_from
+from oracles import (
+    LatticeOracle,
+    brute_gonality,
+    brute_positive_rank,
+    brute_rank_at_least,
+    burns_from,
+)
 
 
 def test_burn_zero_divisor_fully_burns():
@@ -181,6 +189,25 @@ def test_positive_rank_matches_oracle_small(corpus):
             assert has_positive_rank(Divisor(g, chips)) == brute_positive_rank(
                 g, chips, oracle
             )
+
+
+def test_rank_test_stops_where_the_full_reduction_decides(corpus):
+    """On every gonality candidate up to the gonality, the rank test that
+    stops at v's first chip reports the first vertex of `_vertex_order`
+    whose full v-reduction holds no chip, and None exactly on the
+    candidates of positive rank by definition."""
+    small = [g for g in corpus if g.n <= 7]
+    assert any(mult > 1 for g in small for _, _, mult in g.edges)
+    for g in small:
+        oracle = LatticeOracle(g)
+        order = _vertex_order(g)
+        for degree in range(1, brute_gonality(g) + 1):
+            for chips in _reduced_divisors(g, degree):
+                d = Divisor(g, chips)
+                expected = next((v for v in order if v_reduce(d, v)[v] == 0), None)
+                found = _positive_rank_obstruction(g, chips, order, lambda: None)
+                assert found == expected
+                assert (found is None) == brute_positive_rank(g, chips, oracle)
 
 
 def test_rank_at_least_zero_is_effectivity():
