@@ -3,8 +3,10 @@ transform, the spectral bound, the two upper bounds, and the final bracket.
 
 Two lower-bound families are evaluated over the u-grid:
 
-* separator grid: max over u of min{B_u(G), h(G)*u*n} - needs exact
-  separator sizes;
+* separator grid: max over u of min{B_u(G), h(G)*u*n} - needs B_u exactly
+  only where it is below h*u*n; elsewhere the row minimum is h*u*n, and a
+  proof that B_u >= ceil(h*u*n) is enough, so `full_report` searches rows
+  j >= 2 only for separators below that target;
 * cheeger grid (k-regular only): max over u of min{h_u/(k+h_u)*n,
   h(G)*u*n} - the transform h_u/(k+h_u)*n is itself a lower bound on B_u,
   so this row never exceeds the separator row.
@@ -60,8 +62,12 @@ def grid_rows(
 
     A point without a certificate in `separators` (keyed by j) gets None in
     its separator columns; the transform columns are None on irregular
-    graphs.  Refuses a profile of another graph and a non-optimal separator
-    certificate: an upper bound on B_u is not a valid gonality lower bound.
+    graphs.  A certificate must pin the row minimum min{B_u, h*u*n}: either
+    it is optimal, or its `lower_bound` is at least h*u*n, which makes the
+    row minimum h*u*n.  `separator_size` is B_u where the certificate is
+    optimal and None elsewhere; `row_min_separator` is exact in both cases.
+    Refuses a profile of another graph and any other certificate: an upper
+    bound on B_u is not a valid gonality lower bound.
     """
     if profile.n != g.n:
         raise ValueError("profile belongs to a different graph")
@@ -69,9 +75,12 @@ def grid_rows(
     rows = []
     for point in profile.points:
         cert = separators.get(point.j)
-        if cert is not None and not cert.optimal:
-            raise ValueError(f"separator certificate at u={cert.u} is not optimal")
         h_times_un = profile.h * point.j
+        if cert is not None and not _pins_row(cert, h_times_un):
+            raise ValueError(
+                f"separator certificate at u={cert.u} is not optimal and its lower "
+                f"bound {cert.lower_bound} is below h*u*n = {h_times_un}"
+            )
         transform = point.value / (k + point.value) * g.n if k is not None else None
         rows.append(
             GridRow(
@@ -79,13 +88,19 @@ def grid_rows(
                 u=point.u,
                 h_u=point.value,
                 h_times_un=h_times_un,
-                separator_size=cert.size if cert else None,
+                separator_size=cert.size if cert is not None and cert.optimal else None,
                 transform=transform,
+                # size >= lower_bound >= h*u*n where the certificate is not optimal
                 row_min_separator=min(Fraction(cert.size), h_times_un) if cert else None,
                 row_min_transform=min(transform, h_times_un) if transform is not None else None,
             )
         )
     return tuple(rows)
+
+
+def _pins_row(cert: SeparatorCertificate, h_times_un: Fraction) -> bool:
+    """Whether `cert` fixes min{B_u, h*u*n}: B_u is exact, or at least h*u*n."""
+    return cert.optimal or cert.lower_bound >= h_times_un
 
 
 def _first_max(rows: tuple[GridRow, ...], column: str) -> tuple[Fraction, Fraction] | None:
@@ -187,7 +202,11 @@ def full_report(
     bound and, when `upper_bounds` is set, the genus and independence upper
     bounds.  The separator of the first grid row, u = 1/n, is the minimum
     vertex cover that the independence bound needs, so that search runs
-    once.  A Cheeger scan or separator search stopped by the budget is
+    once and uncapped.  Every later row j searches only for separators
+    below ceil(h*j): if none exists, B_u >= h*j and the row minimum is h*j;
+    if one does, the search runs on to the optimum, which is then below h*j
+    and is the row minimum.  A Cheeger scan stopped by the budget, or a
+    separator search whose certificate does not pin its row minimum, is
     excluded from the lower-bound fold (soundness firewall); it, or a
     stopped vertex-cover search, is recorded in `notes` and flags
     `budget_limited`.
@@ -222,11 +241,13 @@ def full_report(
         # incumbent with optimal=False
         seed = frozenset(range(g.n)) - greedy_independent_set(g)
         for point in profile.points:
-            cert = b_u(g, point.u, budget, seed=seed)
+            h_times_un = profile.h * point.j
+            below = None if point.j == 1 else math.ceil(h_times_un)
+            cert = b_u(g, point.u, budget, seed=seed, below=below)
             seed = cert.separator
             if point.j == 1:
                 cover = cert
-            if cert.optimal:
+            if _pins_row(cert, h_times_un):
                 separators[point.j] = cert
             else:
                 notes.append(
@@ -236,7 +257,7 @@ def full_report(
                 budget_limited = True
         rows = grid_rows(g, profile, separators)
 
-    # the separator bound is reported only when every grid point is certified
+    # the separator bound is reported only when every row minimum is pinned
     sep_bound = _first_max(rows, "row_min_separator") if len(separators) == len(rows) else None
     cheeger_bound = _first_max(rows, "row_min_transform")
     if k is None:

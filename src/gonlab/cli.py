@@ -81,18 +81,24 @@ def _flatten(payload, prefix=""):
     return rows
 
 
+def _text(value) -> str:
+    """A scalar as the text formats print it: null, true and false as in
+    JSON, anything else by str()."""
+    return json.dumps(value) if value is None or isinstance(value, bool) else str(value)
+
+
 def _emit_tsv(payload: dict) -> None:
     for key, value in _flatten(payload):
         if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        print(f"{key}\t{value}")
+            value = ",".join(_text(v) for v in value)
+        print(f"{key}\t{_text(value)}")
 
 
 def _emit_human(payload: dict) -> None:
     for key, value in _flatten(payload):
         if isinstance(value, list):
-            value = ", ".join(str(v) for v in value)
-        print(f"{key:40s} {value}")
+            value = ", ".join(_text(v) for v in value)
+        print(f"{key:40s} {_text(value)}")
 
 
 def _setting(flag, env: str, parse, default=None):

@@ -260,6 +260,7 @@ def b_u(
     u: Fraction,
     budget: SearchBudget = DEFAULT_BUDGET,
     seed: frozenset[int] = frozenset(),
+    below: int | None = None,
 ) -> SeparatorCertificate:
     """Minimum-size vertex set whose removal leaves only components of size
     <= u*n, by branch and bound on violating connected subsets.
@@ -289,6 +290,16 @@ def b_u(
     optimum on as the next seed.  When the step or time budget runs out,
     the incumbent is returned with optimal=False and the root packing bound
     as `lower_bound`.
+
+    `below` sets a target: the search looks only for separators smaller
+    than `below`, as if the incumbent had that size.  If it finds one, it
+    runs on to the optimum as usual.  If it finishes without one, B_u is at
+    least `below`: the incumbent is returned with `lower_bound` = `below`,
+    and optimal only when its size equals `below`.  With a target, the
+    greedy separator is built only when the seed is empty or smaller than
+    `below`: a greedy separator below the target could only start the
+    search lower, and the search finds every such separator anyway.  With
+    `below` None the search is unchanged.
     """
     u = Fraction(u)
     if not (0 < u <= Fraction(1, 2)):
@@ -296,22 +307,27 @@ def b_u(
     t = (u.numerator * g.n) // u.denominator
     if t < 1:
         raise ValueError(f"u={u} allows no vertices per component (u*n < 1)")
+    if below is not None and below < 1:
+        raise ValueError("below must be at least 1")
 
     adj = g._masks
     full = (1 << g.n) - 1
     parent = [0] * (g.n + 1)
     subtree = [0] * (g.n + 1)
-    incumbent = _greedy_separator(adj, g._layers, full, t)
-    if seed:
-        if not all(0 <= v < g.n for v in seed):
-            raise ValueError("seed vertex out of range")
-        seed_mask = sum(1 << v for v in seed)
-        if _violation(adj, full ^ seed_mask, t) is not None:
-            raise ValueError(f"seed leaves a component larger than {t}")
-        if seed_mask.bit_count() < incumbent.bit_count():
+    if not all(0 <= v < g.n for v in seed):
+        raise ValueError("seed vertex out of range")
+    seed_mask = sum(1 << v for v in seed)
+    if seed and _violation(adj, full ^ seed_mask, t) is not None:
+        raise ValueError(f"seed leaves a component larger than {t}")
+    if seed and below is not None and seed_mask.bit_count() >= below:
+        incumbent = seed_mask
+    else:
+        incumbent = _greedy_separator(adj, g._layers, full, t)
+        if seed and seed_mask.bit_count() < incumbent.bit_count():
             incumbent = seed_mask
     best = incumbent.bit_count()
-    root_lb = _packing(adj, full, t, g.n + 1, parent, subtree)[0]  # room above any count
+    if below is not None:
+        best = min(best, below)
     rank = [0] * g.n  # branch order: valence descending, then index
     for i, v in enumerate(sorted(range(g.n), key=lambda v: (-g.val(v), v))):
         rank[v] = i
@@ -343,8 +359,11 @@ def b_u(
 
     try:
         dfs(0, 0, 0)
-        optimal = True
+        lower_bound = best  # the optimum, or `below` when no separator lies below it
+        optimal = lower_bound == incumbent.bit_count()
     except BudgetExceededError:
+        root_lb = _packing(adj, full, t, g.n + 1, parent, subtree)[0]  # room above any count
+        lower_bound = min(root_lb, incumbent.bit_count())
         optimal = False
 
     separator = frozenset(_mask_tuple(incumbent))
@@ -357,6 +376,6 @@ def b_u(
         size=len(separator),
         component_sizes=sizes,
         optimal=optimal,
-        lower_bound=len(separator) if optimal else min(root_lb, len(separator)),
+        lower_bound=lower_bound,
     )
 

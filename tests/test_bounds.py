@@ -16,7 +16,7 @@ from gonlab.budget import SearchBudget
 from gonlab.expansion import b_u, cheeger_profile
 from gonlab.gonality import GonalityCertificate, exact_gonality, independence_upper_bound
 from gonlab.graph import Multigraph, named_graph
-from oracles import brute_alpha
+from oracles import brute_alpha, brute_b_u
 
 
 def _grid_inputs(g, budget=None):
@@ -112,6 +112,19 @@ def test_grid_rows_with_partial_separators(pappus):
     assert all(r.h_times_un == profile.h * r.j for r in rows)
     assert all(r.row_min_transform == min(r.transform, r.h_times_un) for r in rows)
     assert separator_grid_bound(pappus, profile, separators) == (Fraction(35, 9), Fraction(5, 18))
+
+
+def test_grid_rows_take_a_certificate_that_pins_the_row(pappus):
+    """A certificate that proves only B_u >= ceil(h*u*n) fixes the row
+    minimum at h*u*n but gives no size; one that proves less is refused."""
+    profile = cheeger_profile(pappus)
+    u = profile.points[1].u  # j = 2: h*u*n = 14/9 and B_u = 8
+    capped = b_u(pappus, u, below=2)
+    assert not capped.optimal and capped.lower_bound == 2
+    row = grid_rows(pappus, profile, {2: capped})[1]
+    assert row.separator_size is None and row.row_min_separator == Fraction(14, 9)
+    with pytest.raises(ValueError, match="below h\\*u\\*n"):
+        grid_rows(pappus, profile, {2: b_u(pappus, u, below=1)})
 
 
 def test_grid_rows_refusals_and_irregular_columns(pappus):
@@ -220,12 +233,24 @@ def test_full_report_sandwich(corpus):
         assert report.lower <= result.value <= report.upper
 
 
-def test_full_report_seeded_rows_match_unseeded_separators(corpus):
-    """The report seeds each grid point with the previous point's separator;
-    the sizes it records are those of independent unseeded searches."""
-    for g in corpus[:20]:
+def test_full_report_rows_match_the_separator_oracle(corpus, pappus):
+    """The report seeds each grid point with the previous point's separator
+    and searches rows j >= 2 only below ceil(h*j).  Each row minimum is the
+    one of the exact B_u; a row prints B_u exactly or, where it is null,
+    B_u reaches ceil(h*j).  The separator bound is the one that uncapped
+    searches give."""
+    for g in corpus + [pappus]:
         report = full_report(g, upper_bounds=False)
-        assert [r.separator_size for r in report.rows] == [b_u(g, r.u).size for r in report.rows]
+        assert not report.budget_limited
+        for row in report.rows:
+            exact = brute_b_u(g, row.j)
+            assert row.row_min_separator == min(Fraction(exact), row.h_times_un)
+            if row.separator_size is None:
+                assert exact >= math.ceil(row.h_times_un)
+            else:
+                assert row.separator_size == exact
+        profile, separators = _grid_inputs(g)
+        assert report.separator_bound == separator_grid_bound(g, profile, separators)
 
 
 def test_full_report_shares_the_cover_search(corpus, pappus):
@@ -293,12 +318,12 @@ CUBIC_16 = Multigraph.from_edges(
         (
             named_graph("pappus"),
             [("cheeger scan", 14328)]
-            + [("separator search", c) for c in (3, 55, 161, 224, 345, 827, 1818, 2750, 4056)],
+            + [("separator search", c) for c in (3, 1, 1, 11, 28, 273, 1818, 2759, 4056)],
         ),
         (
             CUBIC_16,
             [("cheeger scan", 3742)]
-            + [("separator search", c) for c in (13, 49, 157, 225, 259, 452, 672, 524)],
+            + [("separator search", c) for c in (13, 1, 1, 1, 40, 452, 672, 548)],
         ),
     ],
     ids=["pappus", "cubic16"],
@@ -308,7 +333,8 @@ def test_full_report_work_counts_are_pinned(g, counts):
     trees, branch orders and tie-breaks decide these counts, so a rewrite
     that keeps them keeps the trees.  The first grid row, u = 1/n, is also
     the vertex-cover search of the independence bound, so no cover search
-    follows the rows."""
+    follows the rows.  Rows j >= 2 search only below ceil(h*j), so a row
+    whose root packing already reaches that target takes one step."""
     budget = RecordingBudget()
     full_report(g, budget)
     assert [(m.what, m.count) for m in budget.meters] == counts

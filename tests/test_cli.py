@@ -299,6 +299,20 @@ def test_tsv_format(capsys):
     assert float(lines["lambda2"]) == pytest.approx(4.0, abs=1e-9)
 
 
+def test_text_formats_spell_scalars_like_json(capsys):
+    """TSV and human output print null, true and false as JSON does, not
+    as Python's None, True and False."""
+    code, out = run_cli(capsys, "bounds", "pappus", "--format", "tsv")
+    assert code == 0
+    lines = dict(line.split("\t") for line in out.strip().splitlines())
+    assert (lines["rows.0.separator_size"], lines["rows.1.separator_size"]) == ("9", "null")
+    assert lines["budget_limited"] == "false"
+    code, out = run_cli(capsys, "rank", "k4", "0:1,1:1,2:1", "--format", "human")
+    assert code == 0
+    lines = dict(line.split() for line in out.strip().splitlines())
+    assert (lines["holds"], lines["witness"]) == ("true", "null")
+
+
 def test_pappus_demo(capsys):
     code, payload = run_json(capsys, "pappus-demo")
     assert code == 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import complete_graph
+from conftest import RecordingBudget, complete_graph
 from gonlab.budget import BudgetExceededError, SearchBudget
 from gonlab.expansion import (
     _packing,
@@ -148,6 +148,28 @@ def test_b_u_matches_brute_force(corpus):
             previous = b_u(g, u, seed=previous).separator
 
 
+def test_b_u_below_proves_the_optimum_or_the_target(corpus):
+    """With `below=c` the search finds B_u when B_u < c and otherwise
+    proves B_u >= c, keeping a valid incumbent, with or without a seed at
+    or above c.  `below=None` is the plain search, step for step."""
+    for g in corpus:
+        for t in range(1, g.n // 2 + 1):
+            u = Fraction(t, g.n)
+            exact = brute_b_u(g, t)
+            for seed in (frozenset(), frozenset(range(1, g.n))):
+                plain, unset = RecordingBudget(), RecordingBudget()
+                assert b_u(g, u, unset, seed=seed, below=None) == b_u(g, u, plain, seed=seed)
+                assert [m.count for m in unset.meters] == [m.count for m in plain.meters]
+                for c in range(1, g.n + 1):
+                    cert = b_u(g, u, seed=seed, below=c)
+                    assert all(len(x) <= t for x in components(g, cert.separator))
+                    if exact < c:
+                        assert cert.optimal and cert.size == exact
+                    else:
+                        assert cert.lower_bound == c <= exact <= cert.size
+                        assert cert.optimal == (cert.size == c)
+
+
 def test_b_u_certificate_components_verified(corpus):
     for g in corpus[:20]:
         j = max(1, g.n // 3)
@@ -188,12 +210,16 @@ def test_b_u_rejects_bad_u():
         b_u(g, Fraction(2, 3))
     with pytest.raises(ValueError):
         b_u(g, Fraction(1, 12))  # u*n < 1
+    with pytest.raises(ValueError, match="below"):
+        b_u(g, Fraction(1, 2), below=0)
 
 
 def test_b_u_budget_returns_bracket(pappus):
     cert = b_u(pappus, Fraction(9, 18), SearchBudget(max_steps=3))
     assert not cert.optimal
-    assert cert.lower_bound <= cert.size
+    parent, subtree = [0] * 19, [0] * 19
+    root_packing = _packing(pappus._masks, (1 << 18) - 1, 9, 19, parent, subtree)[0]
+    assert cert.lower_bound == min(root_packing, cert.size)
     comps = components(pappus, cert.separator)
     assert all(len(c) <= 9 for c in comps)
 

@@ -14,10 +14,12 @@ from gonlab.cli import main
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # sha256 over the exit code and stdout of the first 32 cubic-bounds ops and
-# the first 8 harness-small ops at seed 1, recorded before the separator
-# search skipped its packing where it cannot prune: a change to the search's
-# cost, not its tree, must keep these bytes
-FIRST_OPS_DIGEST = "20262c629108f84cd6a95b60908bc077be3c89a17bdc016baa57253ef1cabc9e"
+# the first 8 harness-small ops at seed 1, recorded when the bound report
+# began to search grid rows j >= 2 only below ceil(h*j), which prints null
+# for `separator_size` where a row's search proved only B_u >= ceil(h*j);
+# every other byte is the earlier one.  A change to the search's cost, not
+# its tree, must keep these bytes
+FIRST_OPS_DIGEST = "099fd46dc3e01de34373740636ab699ce7650893d7f2c90921ef6ff2675950b9"
 
 
 @pytest.mark.parametrize("name", ["cubic-bounds", "harness-small"])
