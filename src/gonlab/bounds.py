@@ -5,8 +5,10 @@ Two lower-bound families are evaluated over the u-grid:
 
 * separator grid: max over u of min{B_u(G), h(G)*u*n} - needs B_u exactly
   only where it is below h*u*n; elsewhere the row minimum is h*u*n, and a
-  proof that B_u >= ceil(h*u*n) is enough, so `full_report` searches rows
-  j >= 2 only for separators below that target;
+  proof that B_u >= ceil(h*u*n) is enough.  So `full_report` searches rows
+  j >= 2 only for separators below that target, from u = 1/2 down: B_u
+  does not increase with u, so a lower bound proven at a larger u can
+  settle a row with no search at all;
 * cheeger grid (k-regular only): max over u of min{h_u/(k+h_u)*n,
   h(G)*u*n} - the transform h_u/(k+h_u)*n is itself a lower bound on B_u,
   so this row never exceeds the separator row.
@@ -33,7 +35,12 @@ from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
 from gonlab.expansion import CheegerProfile, SeparatorCertificate, b_u, cheeger_profile
 from gonlab.gonality import genus_upper_bound, greedy_independent_set, independence_upper_bound
 from gonlab.graph import Multigraph, genus
-from gonlab.spectral import SpectralBound, gonality_bound_bracket, spectral_gonality_bound
+from gonlab.spectral import (
+    MIN_VERTICES,
+    SpectralBound,
+    gonality_bound_bracket,
+    spectral_gonality_bound,
+)
 
 DEFAULT_EXACT_CHEEGER_CAP = 24
 """Largest n at which `full_report` runs the Cheeger scan and the separators."""
@@ -101,6 +108,22 @@ def grid_rows(
 def _pins_row(cert: SeparatorCertificate, h_times_un: Fraction) -> bool:
     """Whether `cert` fixes min{B_u, h*u*n}: B_u is exact, or at least h*u*n."""
     return cert.optimal or cert.lower_bound >= h_times_un
+
+
+def _settled(
+    g: Multigraph, u: Fraction, cover: SeparatorCertificate, lower_bound: int
+) -> SeparatorCertificate:
+    """The certificate of a row whose B_u a larger u already bounds below:
+    the cover, a separator at every u, with that `lower_bound`."""
+    return SeparatorCertificate(
+        u=u,
+        max_component=(u.numerator * g.n) // u.denominator,
+        separator=cover.separator,
+        size=cover.size,
+        component_sizes=cover.component_sizes,
+        optimal=cover.size == lower_bound,
+        lower_bound=lower_bound,
+    )
 
 
 def _first_max(rows: tuple[GridRow, ...], column: str) -> tuple[Fraction, Fraction] | None:
@@ -202,17 +225,27 @@ def full_report(
     bound and, when `upper_bounds` is set, the genus and independence upper
     bounds.  The separator of the first grid row, u = 1/n, is the minimum
     vertex cover that the independence bound needs, so that search runs
-    once and uncapped.  Every later row j searches only for separators
-    below ceil(h*j): if none exists, B_u >= h*j and the row minimum is h*j;
-    if one does, the search runs on to the optimum, which is then below h*j
-    and is the row minimum.  A Cheeger scan stopped by the budget, or a
-    separator search whose certificate does not pin its row minimum, is
-    excluded from the lower-bound fold (soundness firewall); it, or a
-    stopped vertex-cover search, is recorded in `notes` and flags
-    `budget_limited`.
+    once and uncapped; the cover is a separator at every u and seeds every
+    later row.  The rows j >= 2 then run from u = 1/2 down, and each needs
+    only B_u >= ceil(h*j) or the optimum below it.  A row whose B_u is
+    already known to reach ceil(h*j), because a row at a larger u proved
+    that lower bound, is settled with no search: its certificate is the
+    cover with that `lower_bound`.  Every other row searches only for
+    separators below ceil(h*j): if none exists, B_u >= h*j and the row
+    minimum is h*j; if one does, the search runs on to the optimum, which
+    is then below h*j and is the row minimum.  A Cheeger scan stopped by
+    the budget, or a separator search whose certificate does not pin its
+    row minimum, is excluded from the lower-bound fold (soundness
+    firewall); it, or a stopped vertex-cover search, is recorded in
+    `notes` (rows in ascending u) and flags `budget_limited`.  On fewer
+    than 3 vertices the spectral bound is not a theorem; its ceiling is
+    then 1 and `notes` says so.  A negative `exact_cheeger_cap` is a
+    ValueError.
     """
     if not g.is_connected():
         raise ValueError("bound report requires a connected graph")
+    if exact_cheeger_cap < 0:
+        raise ValueError("exact_cheeger_cap must not be negative")
     notes: list[str] = []
     budget_limited = False
     k = g.regularity()
@@ -236,18 +269,27 @@ def full_report(
     cover: SeparatorCertificate | None = None
     if profile is not None:
         # row j = 1 (u = 1/n) is the vertex-cover search of the independence
-        # bound, with its seed; the points run up the grid, so each separator
-        # is valid for the next point; a budget stop returns a valid
-        # incumbent with optimal=False
+        # bound, with its seed; a cover is a separator at every u, so it seeds
+        # every later row; a budget stop returns a valid incumbent with
+        # optimal=False
         seed = frozenset(range(g.n)) - greedy_independent_set(g)
+        cover = b_u(g, profile.points[0].u, budget, seed=seed)
+        certs = {1: cover}
+        # B_u does not increase with u, so a lower bound proven at one row
+        # holds at every row below it: run down from u = 1/2, keeping in `lb`
+        # the largest one so far, and settle a row it already lifts to
+        # ceil(h*j) without a search
+        lb = 0
+        for point in reversed(profile.points[1:]):
+            below = math.ceil(profile.h * point.j)
+            if lb >= below:
+                certs[point.j] = _settled(g, point.u, cover, lb)
+            else:
+                certs[point.j] = b_u(g, point.u, budget, seed=cover.separator, below=below)
+                lb = max(lb, certs[point.j].lower_bound)
         for point in profile.points:
-            h_times_un = profile.h * point.j
-            below = None if point.j == 1 else math.ceil(h_times_un)
-            cert = b_u(g, point.u, budget, seed=seed, below=below)
-            seed = cert.separator
-            if point.j == 1:
-                cover = cert
-            if _pins_row(cert, h_times_un):
+            cert = certs[point.j]
+            if _pins_row(cert, profile.h * point.j):
                 separators[point.j] = cert
             else:
                 notes.append(
@@ -266,6 +308,11 @@ def full_report(
     spectral = None
     if g.n >= 2:
         spectral = spectral_gonality_bound(g)
+        if g.n < MIN_VERTICES:
+            notes.append(
+                f"n={g.n} below {MIN_VERTICES}: the spectral bound does not apply, "
+                "its ceiling is the trivial 1"
+            )
 
     upper_genus = upper_independence = upper = None
     if upper_bounds:

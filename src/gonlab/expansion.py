@@ -8,8 +8,11 @@ with finite work.
 The exact Cheeger scan enumerates only subsets that are connected in the
 induced subgraph: a disconnected subset splits as U1 | U2 with
 |bd U| / |U| >= min of the parts' ratios (mediant inequality), so some
-connected part of no larger size does at least as well.  The all-subsets
-route is kept in the test suite as the independent oracle for this pruning.
+connected part of no larger size does at least as well.  The scan also
+skips every subtree whose subsets can neither tie nor set a new running
+minimum of the least boundary per size, which is all the profile reads.
+The all-subsets route is kept in the test suite as the independent oracle
+for both cuts.
 """
 
 from __future__ import annotations
@@ -67,52 +70,88 @@ def edge_boundary(g: Multigraph, s) -> int:
 
 
 def _scan_connected_subsets(g: Multigraph, max_size: int, budget: SearchBudget):
-    """(least, masks): per size j <= max_size, the least boundary of a
-    connected j-subset and the mask of the lexicographically least subset
-    attaining it.  Index 0 is unused.
+    """(least, masks): per size j <= max_size, a boundary size and the mask
+    of a connected j-subset attaining it.  Index 0 is unused.  At every size
+    that sets a new running minimum of least[j] / j (strictly below every
+    smaller size's ratio), least[j] is the least boundary of a connected
+    j-subset and masks[j] the lexicographically least subset attaining it;
+    at the other sizes least[j] may stay above the true value (or at the
+    sentinel m + 1), which `cheeger_profile` never reads.
 
     Anchored enumeration: for each anchor vertex (the subset minimum), grow
     using only larger vertices, branching on include/exclude of one
     extension candidate at a time; `avail` holds the vertices above the
-    anchor that are neither in the subset nor excluded.  Each connected
-    subset is visited once, and each visit ticks the meter once.  Boundary
-    sizes are maintained incrementally: adding w changes the boundary by
-    val(w) minus twice the multiplicity from w into the current subset, a
-    sum of popcounts over w's multiplicity layers.  Within one size the
-    least boundary is the least ratio, and among equal boundaries the set
-    that holds the lowest vertex in which two sets differ has the
+    anchor that are neither in the subset nor excluded.  Boundary sizes are
+    maintained incrementally: adding w changes the boundary by val(w) minus
+    twice the multiplicity from w into the current subset, a sum of
+    popcounts over w's multiplicity layers.  Within one size the least
+    boundary is the least ratio, and among equal boundaries the set that
+    holds the lowest vertex in which two sets differ has the
     lexicographically smaller sorted tuple.
+
+    The tree is cut where no subset in it can change the profile.  `fixed`
+    counts the edges from the subset to vertices neither in it nor in
+    `avail` (below the anchor, or excluded); every extension keeps them in
+    its boundary.  A subtree rooted at size c is skipped when, at every
+    size s >= c, `fixed` exceeds least[s] (no tie either) or reaches
+    ceil(s * r) for the running minimum r over the sizes below s (no new
+    running minimum).  `reach[c]` is the largest `fixed` that passes,
+    refreshed whenever least changes.  At a size that sets a new running
+    minimum, all minimizers are reached: their ancestors' `fixed` is at
+    most their boundary, which is below both thresholds.  Each visited
+    subset ticks the meter once.
     """
     adj = g._masks
     layers = g._layers
     val = g._val
     least = [g.m + 1] * (max_size + 1)  # above any boundary
     masks = [0] * (max_size + 1)
+    reach = [g.m + 1] * (max_size + 1)
     tick = budget.meter("cheeger scan").tick
 
-    def rec(mask: int, size: int, boundary: int, ext: int, avail: int):
+    def refresh():
+        num, den = g.m + 1, 1  # the running minimum over the sizes below s
+        for s in range(1, max_size + 1):
+            # fixed <= least[s] allows a tie, fixed < ceil(s * num / den) a new minimum
+            reach[s] = min(least[s], (s * num - 1) // den)
+            if least[s] * den < num * s:
+                num, den = least[s], s
+        for s in range(max_size - 1, 0, -1):
+            if reach[s] < reach[s + 1]:
+                reach[s] = reach[s + 1]
+
+    def rec(mask: int, size: int, boundary: int, ext: int, avail: int, fixed: int):
         tick()
-        if boundary < least[size] or (
-            boundary == least[size] and (d := mask ^ masks[size]) & -d & mask
-        ):
+        if boundary < least[size]:
             least[size] = boundary
+            masks[size] = mask
+            refresh()
+        elif boundary == least[size] and (d := mask ^ masks[size]) & -d & mask:
             masks[size] = mask
         if size == max_size:
             return
         size += 1
-        while ext:
+        while ext and fixed <= reach[size]:  # a child's `fixed` is at least its parent's
             bit = ext & -ext
             ext ^= bit
             avail ^= bit  # w joins this child, then stays out of every later one
             w = bit.bit_length() - 1
-            into = 0
+            into = out = 0
             for layer in layers[w]:
                 into += (layer & mask).bit_count()
-            rec(mask | bit, size, boundary + val[w] - 2 * into, ext | adj[w] & avail, avail)
+                out += (layer & avail).bit_count()
+            child_fixed = fixed + val[w] - into - out
+            if child_fixed <= reach[size]:
+                child_ext = ext | adj[w] & avail
+                rec(mask | bit, size, boundary + val[w] - 2 * into, child_ext, avail, child_fixed)
+            fixed += into  # w is excluded from the later siblings
 
     for anchor in range(g.n):
-        above = ~((1 << (anchor + 1)) - 1)
-        rec(1 << anchor, 1, val[anchor], adj[anchor] & above, above)
+        below = (1 << anchor) - 1
+        fixed = sum((layer & below).bit_count() for layer in layers[anchor])
+        if fixed <= reach[1]:
+            above = ~((1 << (anchor + 1)) - 1)
+            rec(1 << anchor, 1, val[anchor], adj[anchor] & above, above, fixed)
     return least, masks
 
 
@@ -128,7 +167,7 @@ def cheeger_profile(g: Multigraph, budget: SearchBudget = DEFAULT_BUDGET) -> Che
     if g.n < 2:
         raise ValueError("cheeger profile needs at least 2 vertices")
     half = g.n // 2
-    # a connected graph has connected subsets of every size, so each entry is set
+    # exact wherever the running minimum improves, size 1 included
     least, masks = _scan_connected_subsets(g, half, budget)
     points = []
     running: tuple[Fraction, int] | None = None
@@ -285,9 +324,9 @@ def b_u(
 
     The incumbent starts as the greedy separator, or as `seed` when that is
     strictly smaller.  A seed must be a valid separator (ValueError
-    otherwise); the empty seed means none.  Since a separator for a smaller
-    u stays valid for a larger one, a sweep up the u-grid can pass each
-    optimum on as the next seed.  When the step or time budget runs out,
+    otherwise); the empty seed means none.  A separator for a smaller u
+    stays valid for a larger one, so a vertex cover (u = 1/n) can seed the
+    search at any u.  When the step or time budget runs out,
     the incumbent is returned with optimal=False and the root packing bound
     as `lower_bound`.
 

@@ -115,6 +115,10 @@ class ExperimentCaps:
     gonality_cap: int = 12
     cheeger_cap: int = 20
 
+    def __post_init__(self):
+        if self.gonality_cap < 0 or self.cheeger_cap < 0:
+            raise ValueError("size caps must not be negative")
+
 
 @dataclass(frozen=True)
 class ExperimentRecord:

@@ -34,7 +34,7 @@ so a float evaluation loses its leading digits for small lambda2.
 `gonality_bound_bracket` uses the conjugate form, which increases with
 lambda2, in rationals with an integer square-root bracket; the ends of the
 certified lambda2 interval, taken as exact rationals, then give a proven
-`ceiling`.
+`ceiling`, on graphs of at least MIN_VERTICES vertices.
 """
 
 from __future__ import annotations
@@ -52,6 +52,13 @@ TOL = 1e-9
 
 ROOT_BITS = 64
 """Binary digits after the point kept by the square-root bracket of the bound."""
+
+MIN_VERTICES = 3
+"""Fewest vertices for which the spectral bound is a theorem.  Its
+derivation splits off a component strictly smaller than n/2, which no
+2-vertex graph has.  On two vertices lambda2 = 2d, where the formula is
+1.316 for any multiplicity: right for a multiple edge (gonality 2), wrong
+for K2, a tree, whose gonality is 1."""
 
 
 @dataclass(frozen=True)
@@ -156,7 +163,8 @@ class SpectralBound:
     `low`/`high` are floats rounded outward from the exact bracket of the
     formula over the lambda2 error interval; `ceiling` is the certified
     integer bound, the ceiling of the exact lower end (gonality is an
-    integer); `value` is the formula at the lambda2 estimate.
+    integer) where the theorem applies (n >= MIN_VERTICES) and the trivial
+    1 below that; `value` is the formula at the lambda2 estimate.
     """
 
     value: float
@@ -175,7 +183,9 @@ def spectral_gonality_bound(g: Multigraph) -> SpectralBound:
     Refuses disconnected graphs (lambda2 = 0 makes the expression
     degenerate).  The bound increases with lambda2, so it is evaluated once
     at each end of the certified lambda2 interval; `ceiling` uses the low
-    end, so it is itself certified.
+    end, so it is itself certified.  Below MIN_VERTICES the formula is
+    still evaluated, but `ceiling` is 1: the theorem does not cover such
+    graphs, and on K2 its value exceeds the gonality.
     """
     summary = algebraic_connectivity(g)
     if not summary.connected:
@@ -188,7 +198,7 @@ def spectral_gonality_bound(g: Multigraph) -> SpectralBound:
         value=float(gonality_bound_bracket(lam, d, n)[0]),
         low=-_round_up(-lower),
         high=_round_up(upper),
-        ceiling=math.ceil(lower),
+        ceiling=math.ceil(lower) if n >= MIN_VERTICES else 1,
         lambda2=summary.lambda2,
         lambda2_error=summary.error_bound,
         d_max=d,

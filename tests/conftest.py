@@ -1,3 +1,4 @@
+import importlib.util
 import random
 import sys
 from dataclasses import dataclass, field
@@ -10,6 +11,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from gonlab.budget import SearchBudget
 from gonlab.graph import Multigraph, named_graph
 from gonlab.randgraph import ConfigModelParams, sample_configuration
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,18 @@ def small_connected_corpus(min_count: int = 200):
             graphs.append(g)
         seed += 1
     return graphs
+
+
+def cubic_bounds_inputs(count: int, seed: int = 1) -> list[Multigraph]:
+    """The first `count` graphs of the benchmark's cubic-bounds workload,
+    from its own generator in perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    rng = workloads._rng(seed, workloads.CubicBounds.name)
+    n = workloads.CUBIC_N
+    return [Multigraph.from_edges(n, workloads.random_cubic_edges(n, rng)) for _ in range(count)]
 
 
 @pytest.fixture(scope="session")

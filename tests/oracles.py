@@ -193,6 +193,34 @@ def brute_cheeger_witness(g: Multigraph, j: int) -> frozenset[int]:
     return frozenset(running[1])
 
 
+def brute_cheeger_profile(g: Multigraph) -> list[tuple[Fraction, frozenset[int]]]:
+    """(h_u, witness) at u = j/n for j = 1 .. n//2, over ALL subsets.
+
+    Per size s: the least boundary of any s-subset, connected or not, and
+    the first subset in lexicographic order attaining it.  Over sizes: the
+    running minimum ratio, replaced only on strict improvement.  At a size
+    that improves it, every minimizer is connected (a split set is no
+    better than its best part, of smaller size), so this is the profile
+    the connected-subset scan must report.  Boundaries come from edge
+    masks, one test per edge and subset.
+    """
+    edges = [((1 << u) | (1 << v), mult) for u, v, mult in g.edges]
+    points = []
+    running = None
+    for size in range(1, g.n // 2 + 1):
+        best = None
+        for subset in itertools.combinations(range(g.n), size):  # lexicographic
+            s = sum(1 << v for v in subset)
+            boundary = sum(mult for pair, mult in edges if s & pair not in (0, pair))
+            if best is None or boundary < best[0]:
+                best = (boundary, subset)
+        ratio = Fraction(best[0], size)
+        if running is None or ratio < running[0]:
+            running = (ratio, frozenset(best[1]))
+        points.append(running)
+    return points
+
+
 def brute_b_u(g: Multigraph, t: int) -> int:
     """Minimum removal set leaving components of size <= t, by increasing size."""
     for size in range(g.n + 1):

@@ -1,9 +1,13 @@
+import json
 import math
+import re
+from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import RecordingBudget
+from conftest import RecordingBudget, cubic_bounds_inputs
 from gonlab.bounds import (
     cheeger_grid_bound,
     expansion_pipeline_constant,
@@ -16,7 +20,9 @@ from gonlab.budget import SearchBudget
 from gonlab.expansion import b_u, cheeger_profile
 from gonlab.gonality import GonalityCertificate, exact_gonality, independence_upper_bound
 from gonlab.graph import Multigraph, named_graph
-from oracles import brute_alpha, brute_b_u
+from oracles import brute_alpha, brute_b_u, brute_gonality
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def _grid_inputs(g, budget=None):
@@ -208,6 +214,26 @@ def test_full_report_tree():
     assert report.bracket == (1, 1)
 
 
+def test_full_report_k2_bracket():
+    """The spectral formula gives 1.316 on K2, above its gonality 1; the
+    bound is a theorem only from 3 vertices, so its ceiling is 1 there.
+    A double edge (gonality 2) keeps a sound bracket too."""
+    report = full_report(named_graph("path:2"))
+    assert report.spectral.ceiling == 1 and report.spectral.low > 1
+    assert report.bracket == (1, 1)
+    assert report.notes == (
+        "n=2 below 3: the spectral bound does not apply, its ceiling is the trivial 1",
+    )
+    banana = full_report(Multigraph.from_edges(2, [(0, 1)] * 2))
+    assert banana.lower <= 2 <= banana.upper
+
+
+def test_full_report_refuses_a_negative_cheeger_cap():
+    with pytest.raises(ValueError, match="must not be negative"):
+        full_report(named_graph("k4"), exact_cheeger_cap=-5)
+    assert full_report(named_graph("k4"), exact_cheeger_cap=0).rows == ()
+
+
 def test_full_report_cycle_handles_loose_genus():
     """Genus 1, where `genus` itself would be no bound: the genus bound
     is genus + 1 = 2, which is exact and folds into `upper` like any other."""
@@ -234,8 +260,10 @@ def test_full_report_sandwich(corpus):
 
 
 def test_full_report_rows_match_the_separator_oracle(corpus, pappus):
-    """The report seeds each grid point with the previous point's separator
-    and searches rows j >= 2 only below ceil(h*j).  Each row minimum is the
+    """The report seeds each grid point with the vertex cover, runs rows
+    j >= 2 from u = 1/2 down and searches them only below ceil(h*j),
+    settling a row with no search where a larger u's lower bound already
+    reaches that target.  Each row minimum is the
     one of the exact B_u; a row prints B_u exactly or, where it is null,
     B_u reaches ceil(h*j).  The separator bound is the one that uncapped
     searches give."""
@@ -291,6 +319,76 @@ def test_full_report_cheeger_budget_is_partial_not_fatal(pappus):
     assert report.lower <= 6 <= report.upper  # spectral ceiling still certifies 6
 
 
+def test_full_report_under_step_caps(corpus, pappus):
+    """Rows run from u = 1/2 down and settled rows open no meter, so a step
+    cap stops other searches than a bottom-up sweep would.  Under every cap
+    the bracket holds the gonality (the oracle's where n <= 6, the corpus
+    fixture elsewhere, 6 on Pappus).  A report is flagged only when some
+    search ran past the cap; one that is not flagged has the uncapped
+    bounds and row minima, and one no search stopped is the uncapped report.
+    (These caps stop the scan before any row; the next test stops rows.)"""
+    fixture = json.loads((GOLDEN_DIR / "corpus_gonality.json").read_text())
+    cases = [
+        (g, brute_gonality(g) if g.n <= 6 else gon) for g, gon in zip(corpus, fixture, strict=True)
+    ]
+    flagged = 0
+    for g, gon in cases + [(pappus, 6)]:
+        full = full_report(g)
+        for cap in (0, 10, 50, 300):
+            budget = RecordingBudget(max_steps=cap)
+            report = full_report(g, budget)
+            assert report.lower <= gon <= report.upper
+            stopped = any(m.count > cap for m in budget.meters)
+            if not stopped:
+                assert report == full
+            if report.budget_limited:
+                assert stopped
+                flagged += 1
+            else:
+                assert report.bracket == full.bracket
+                assert (report.separator_bound, report.cheeger_bound) == (
+                    full.separator_bound,
+                    full.cheeger_bound,
+                )
+                assert [r.row_min_separator for r in report.rows] == [
+                    r.row_min_separator for r in full.rows
+                ]
+    assert flagged >= len(cases)  # a cap of 0 flags every report
+
+
+ROW_NOTE = re.compile(r"separator at u=(\S+) not certified optimal")
+
+
+@dataclass(frozen=True)
+class SeparatorCapBudget(SearchBudget):
+    """Caps only the separator searches, so the scan finishes and several
+    rows can stop."""
+
+    def meter(self, what):
+        return super().meter(what) if what == "separator search" else SearchBudget().meter(what)
+
+
+def test_full_report_notes_stopped_rows_in_ascending_u(pappus):
+    """Rows are searched from u = 1/2 down, but their notes read up the
+    grid.  A stopped row that does not pin its minimum drops the separator
+    bound, never raises `lower`, and flags the report."""
+    stopped_rows = 0
+    for g in [pappus] + cubic_bounds_inputs(8):
+        full = full_report(g)
+        for cap in (10, 50, 300):
+            budget = SeparatorCapBudget(max_steps=cap)
+            report = full_report(g, budget)
+            us = [Fraction(m.group(1)) for m in map(ROW_NOTE.match, report.notes) if m]
+            assert us == sorted(set(us))
+            stopped_rows += len(us)
+            cover_stopped = any(n.startswith("vertex-cover search exhausted") for n in report.notes)
+            assert report.budget_limited == (bool(us) or cover_stopped)
+            assert report.lower <= full.lower
+            if us:
+                assert report.separator_bound is None
+    assert stopped_rows >= 40
+
+
 def test_full_report_without_upper_bounds():
     g = named_graph("k4")
     full = full_report(g)
@@ -317,13 +415,11 @@ CUBIC_16 = Multigraph.from_edges(
     [
         (
             named_graph("pappus"),
-            [("cheeger scan", 14328)]
-            + [("separator search", c) for c in (3, 1, 1, 11, 28, 273, 1818, 2759, 4056)],
+            [("cheeger scan", 5832)] + [("separator search", c) for c in (3, 4066, 2759)],
         ),
         (
             CUBIC_16,
-            [("cheeger scan", 3742)]
-            + [("separator search", c) for c in (13, 1, 1, 1, 40, 452, 672, 548)],
+            [("cheeger scan", 1195)] + [("separator search", c) for c in (13, 548, 672)],
         ),
     ],
     ids=["pappus", "cubic16"],
@@ -333,8 +429,10 @@ def test_full_report_work_counts_are_pinned(g, counts):
     trees, branch orders and tie-breaks decide these counts, so a rewrite
     that keeps them keeps the trees.  The first grid row, u = 1/n, is also
     the vertex-cover search of the independence bound, so no cover search
-    follows the rows.  Rows j >= 2 search only below ceil(h*j), so a row
-    whose root packing already reaches that target takes one step."""
+    follows the rows.  Rows j >= 2 run from u = 1/2 down and search only
+    below ceil(h*j); a row whose target a larger u's lower bound already
+    reaches opens no meter (Pappus searches rows 9 and 8 and settles 7 to 2,
+    cubic16 searches rows 8 and 7 and settles 6 to 2)."""
     budget = RecordingBudget()
     full_report(g, budget)
     assert [(m.what, m.count) for m in budget.meters] == counts

@@ -392,6 +392,23 @@ def test_negative_cap_is_an_input_error(capsys, flag, value, message):
     assert f"{message} must not be negative" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "k4", "--cheeger-cap", "-5"], "exact_cheeger_cap"),
+        (["random", "--k", "3", "--n", "8", "--samples", "1", "--cheeger-cap", "-1"], "size caps"),
+        (["random", "--k", "3", "--n", "8", "--samples", "1", "--gonality-cap", "-1"], "size caps"),
+    ],
+    ids=["bounds-cheeger", "random-cheeger", "random-gonality"],
+)
+def test_negative_size_cap_is_an_input_error(capsys, argv, message):
+    """A negative size cap used to skip its stage without a word."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{message} must not be negative" in captured.err
+
+
 def test_infinite_budget_seconds_is_no_deadline(capsys):
     code, payload = run_json(capsys, "gonality", "cycle:8", "--budget-seconds", "inf")
     assert code == 0

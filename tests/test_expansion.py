@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import RecordingBudget, complete_graph
+from conftest import RecordingBudget, complete_graph, cubic_bounds_inputs
 from gonlab.budget import BudgetExceededError, SearchBudget
 from gonlab.expansion import (
     _packing,
@@ -13,7 +13,14 @@ from gonlab.expansion import (
     edge_boundary,
 )
 from gonlab.graph import Multigraph, components, named_graph
-from oracles import brute_b_u, brute_boundary, brute_cheeger_witness, brute_h_u
+from gonlab.randgraph import ConfigModelParams, sample_configuration
+from oracles import (
+    brute_b_u,
+    brute_boundary,
+    brute_cheeger_profile,
+    brute_cheeger_witness,
+    brute_h_u,
+)
 
 
 def test_edge_boundary_trivial():
@@ -90,6 +97,24 @@ def test_cheeger_witness_tie_break_matches_oracle(corpus, pappus):
         for p in profile.points:
             if g.n <= 9 or p.j <= 3:
                 assert p.witness == brute_cheeger_witness(g, p.j), (g.edges, p.j)
+
+
+def test_cut_scan_matches_all_subsets_profile(pappus):
+    """The scan skips subtrees that cannot set a new running minimum; every
+    value and witness still equals the all-subsets oracle's, on graphs
+    large enough for the cut to fire: Pappus, the first eight
+    cubic-bounds inputs, input 149 (its lex-least size-8 minimizer has a
+    boundary of exactly ceil(8 * r) - 1, one below the cut) and four
+    quartic and quintic multigraphs."""
+    multigraphs = [
+        sample_configuration(ConfigModelParams(k=k, n=n, seed=seed))
+        for k, n, seed in ((4, 14, 0), (4, 16, 1), (5, 14, 0), (5, 16, 2))
+    ]
+    assert all(g.is_connected() and any(m > 1 for _, _, m in g.edges) for g in multigraphs)
+    cubic = cubic_bounds_inputs(150)
+    for g in [pappus] + cubic[:8] + [cubic[149]] + multigraphs:
+        profile = cheeger_profile(g)
+        assert [(p.value, p.witness) for p in profile.points] == brute_cheeger_profile(g), g.edges
 
 
 def test_regular_half_edge_identity(corpus):

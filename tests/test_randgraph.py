@@ -20,6 +20,14 @@ def test_params_validation():
         ConfigModelParams(k=3, n=4, seed=0, mode="exotic")
 
 
+def test_caps_validation():
+    with pytest.raises(ValueError, match="must not be negative"):
+        ExperimentCaps(gonality_cap=-1)
+    with pytest.raises(ValueError, match="must not be negative"):
+        ExperimentCaps(cheeger_cap=-5)
+    assert ExperimentCaps(gonality_cap=0, cheeger_cap=0).cheeger_cap == 0
+
+
 def test_samples_are_regular_and_loop_free():
     for k, n in ((2, 8), (3, 10), (4, 9)):
         params = ConfigModelParams(k=k, n=n, seed=5)

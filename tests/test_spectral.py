@@ -15,7 +15,7 @@ from gonlab.spectral import (
     gonality_bound_bracket,
     spectral_gonality_bound,
 )
-from oracles import lambda2_in, spectral_ceiling_is
+from oracles import brute_gonality, lambda2_in, spectral_ceiling_is
 
 
 def test_lambda2_against_numpy(corpus):
@@ -140,6 +140,26 @@ def test_gonality_bound_formula_k2_degenerate():
     for value in gonality_bound_bracket(Fraction(2), 1, 2):
         assert abs(value - 0.5 * (-23 + 3 * math.sqrt(73))) <= 1e-12
         assert abs(value - 1.3160056179762947) <= 1e-12
+
+
+def test_spectral_ceiling_is_sound_on_the_smallest_graphs():
+    """The formula is 1.316 on every 2-vertex graph (lambda2 = 2d there),
+    so the ceiling is held at 1 below 3 vertices, where the bound is no
+    theorem; K2 has gonality 1.  From 3 vertices on, the ceiling is the
+    formula's and stays at or below the gonality on every connected
+    multigraph with multiplicities up to 2."""
+    for mult in (1, 2, 3):
+        bound = spectral_gonality_bound(Multigraph.from_edges(2, [(0, 1)] * mult))
+        assert bound.ceiling == 1 and bound.low > 1
+    for m01 in range(3):
+        for m02 in range(3):
+            for m12 in range(3):
+                edges = [(0, 1)] * m01 + [(0, 2)] * m02 + [(1, 2)] * m12
+                g = Multigraph.from_edges(3, edges)
+                if g.is_connected():
+                    bound = spectral_gonality_bound(g)
+                    assert bound.ceiling >= bound.low  # the formula's ceiling, not the trivial 1
+                    assert bound.ceiling <= brute_gonality(g), edges
 
 
 # (lambda2, d, n) where the float form of the bound, even less a relative
