@@ -1,5 +1,7 @@
 """Assembled gonality bounds: the expansion grid, the regular-graph
-transform, the spectral bound, the two upper bounds, and the final bracket.
+transform, the spectral bound, the tree fact, the two upper bounds, the
+final bracket and, as an optional last stage, the gonality search inside
+that bracket.
 
 Two lower-bound families are evaluated over the u-grid:
 
@@ -18,6 +20,8 @@ minima); the grid bounds and `full_report` fold its columns.  All grid
 arithmetic is exact rational; ceilings are taken only at report assembly
 (gonality is an integer, so a lower bound of 5.04 certifies 6).  One size
 cap, `exact_cheeger_cap`, covers the Cheeger scan and the separators.
+The bracket is folded once, in `full_report`: a caller that wants the
+gonality asks it for the search stage and reads one bracket.
 
 The published constants for random cubic graphs are reproduced as pure
 arithmetic pipelines with the external inputs injected as defaults: they
@@ -33,7 +37,16 @@ from fractions import Fraction
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
 from gonlab.expansion import CheegerProfile, SeparatorCertificate, b_u, cheeger_profile
-from gonlab.gonality import genus_upper_bound, greedy_independent_set, independence_upper_bound
+from gonlab.gonality import (
+    GonalityBracket,
+    GonalityCertificate,
+    cover_search_pays,
+    exact_gonality,
+    genus_upper_bound,
+    greedy_independent_set,
+    independence_cap,
+    independence_upper_bound,
+)
 from gonlab.graph import Multigraph, genus
 from gonlab.spectral import (
     MIN_VERTICES,
@@ -111,17 +124,17 @@ def _pins_row(cert: SeparatorCertificate, h_times_un: Fraction) -> bool:
 
 
 def _settled(
-    g: Multigraph, u: Fraction, cover: SeparatorCertificate, lower_bound: int
+    g: Multigraph, u: Fraction, cover: frozenset[int], lower_bound: int
 ) -> SeparatorCertificate:
-    """The certificate of a row whose B_u a larger u already bounds below:
-    the cover, a separator at every u, with that `lower_bound`."""
+    """The certificate of a row whose B_u is already bounded below: the
+    vertex cover `cover`, a separator at every u, with that `lower_bound`."""
     return SeparatorCertificate(
         u=u,
         max_component=(u.numerator * g.n) // u.denominator,
-        separator=cover.separator,
-        size=cover.size,
-        component_sizes=cover.component_sizes,
-        optimal=cover.size == lower_bound,
+        separator=cover,
+        size=len(cover),
+        component_sizes=(1,) * (g.n - len(cover)),
+        optimal=len(cover) == lower_bound,
         lower_bound=lower_bound,
     )
 
@@ -190,7 +203,9 @@ class BoundReport:
     """Everything known about gon(G) from the bound pipelines.  `rows` is
     empty when the Cheeger scan was skipped by the size cap or stopped by
     the budget; the upper fields are None when the upper-bound stage was
-    skipped."""
+    skipped.  `gonality` is the search stage's result, None when that
+    stage was not asked for; `budget_limited` flags the bound stages only,
+    a stopped search is the `GonalityBracket` in `gonality`."""
 
     n: int
     m: int
@@ -206,6 +221,7 @@ class BoundReport:
     upper: int | None
     notes: tuple[str, ...]
     budget_limited: bool
+    gonality: GonalityCertificate | GonalityBracket | None = None
 
     @property
     def bracket(self) -> tuple[int, int | None]:
@@ -218,34 +234,48 @@ def full_report(
     *,
     exact_cheeger_cap: int = DEFAULT_EXACT_CHEEGER_CAP,
     upper_bounds: bool = True,
+    gonality: bool = False,
 ) -> BoundReport:
     """Run every applicable bound stage and fold the final integer bracket.
 
     The stages are the exact Cheeger profile, the separators, the spectral
-    bound and, when `upper_bounds` is set, the genus and independence upper
-    bounds.  The separator of the first grid row, u = 1/n, is the minimum
-    vertex cover that the independence bound needs, so that search runs
-    once and uncapped; the cover is a separator at every u and seeds every
-    later row.  The rows j >= 2 then run from u = 1/2 down, and each needs
-    only B_u >= ceil(h*j) or the optimum below it.  A row whose B_u is
-    already known to reach ceil(h*j), because a row at a larger u proved
-    that lower bound, is settled with no search: its certificate is the
-    cover with that `lower_bound`.  Every other row searches only for
-    separators below ceil(h*j): if none exists, B_u >= h*j and the row
-    minimum is h*j; if one does, the search runs on to the optimum, which
-    is then below h*j and is the row minimum.  A Cheeger scan stopped by
-    the budget, or a separator search whose certificate does not pin its
-    row minimum, is excluded from the lower-bound fold (soundness
-    firewall); it, or a stopped vertex-cover search, is recorded in
-    `notes` (rows in ascending u) and flags `budget_limited`.  On fewer
-    than 3 vertices the spectral bound is not a theorem; its ceiling is
-    then 1 and `notes` says so.  A negative `exact_cheeger_cap` is a
-    ValueError.
+    bound, the tree fact and, when `upper_bounds` is set, the genus and
+    independence upper bounds.  The separator of the first grid row,
+    u = 1/n, is the minimum vertex cover that the independence bound
+    needs.  Where that search can beat the genus bound
+    (`gonality.cover_search_pays`), it runs first and uncapped, and the
+    cover seeds every later row: a cover is a separator at every u.
+    Elsewhere no cover search runs: the greedy set's complement seeds the
+    rows, and row 1 joins the others with n - `independence_cap`, a lower
+    bound on the cover size B_{1/n}, as a free lower bound.  The rows then
+    run from u = 1/2 down, and each needs only B_u >= ceil(h*j) or the
+    optimum below it.  A row whose B_u is already known to reach
+    ceil(h*j), because a row at a larger u proved that lower bound, is
+    settled with no search: its certificate is the cover with that
+    `lower_bound`.  Every other row searches only for separators below
+    ceil(h*j): if none exists, B_u >= h*j and the row minimum is h*j; if
+    one does, the search runs on to the optimum, which is then below h*j
+    and is the row minimum.  A Cheeger scan stopped by the budget, or a
+    separator search whose certificate does not pin its row minimum, is
+    excluded from the lower-bound fold (soundness firewall); it, or a
+    stopped vertex-cover search, is recorded in `notes` (rows in ascending
+    u) and flags `budget_limited`.  On fewer than 3 vertices the spectral
+    bound is not a theorem; its ceiling is then 1 and `notes` says so.  A
+    degree-1 divisor has positive rank only on a tree (Baker and Norine,
+    2007), so `lower` is at least 2 from genus 1 on.  A negative
+    `exact_cheeger_cap` is a ValueError.
+
+    `gonality` adds the search as the last stage, and implies the upper
+    bounds: the ascending search of `gonality.exact_gonality` runs from
+    `lower` to `upper`.  Degrees below `lower` are ruled out by the stage
+    that set it; degrees `lower` ... value - 1 are searched.  The value
+    and witness are those of the search from degree 1.
     """
     if not g.is_connected():
         raise ValueError("bound report requires a connected graph")
     if exact_cheeger_cap < 0:
         raise ValueError("exact_cheeger_cap must not be negative")
+    upper_bounds = upper_bounds or gonality
     notes: list[str] = []
     budget_limited = False
     k = g.regularity()
@@ -268,24 +298,30 @@ def full_report(
     rows: tuple[GridRow, ...] = ()
     cover: SeparatorCertificate | None = None
     if profile is not None:
-        # row j = 1 (u = 1/n) is the vertex-cover search of the independence
-        # bound, with its seed; a cover is a separator at every u, so it seeds
-        # every later row; a budget stop returns a valid incumbent with
-        # optimal=False
         seed = frozenset(range(g.n)) - greedy_independent_set(g)
-        cover = b_u(g, profile.points[0].u, budget, seed=seed)
-        certs = {1: cover}
+        certs = {}
+        descending = profile.points
+        if cover_search_pays(g):
+            # row j = 1 (u = 1/n) is the vertex-cover search of the
+            # independence bound, with its seed; a budget stop returns a
+            # valid incumbent with optimal=False
+            cover = b_u(g, profile.points[0].u, budget, seed=seed)
+            certs[1] = cover
+            seed = cover.separator
+            descending = profile.points[1:]
         # B_u does not increase with u, so a lower bound proven at one row
         # holds at every row below it: run down from u = 1/2, keeping in `lb`
         # the largest one so far, and settle a row it already lifts to
         # ceil(h*j) without a search
         lb = 0
-        for point in reversed(profile.points[1:]):
+        for point in reversed(descending):
             below = math.ceil(profile.h * point.j)
+            if point.j == 1:  # B_{1/n} = n - alpha
+                lb = max(lb, g.n - independence_cap(g))
             if lb >= below:
-                certs[point.j] = _settled(g, point.u, cover, lb)
+                certs[point.j] = _settled(g, point.u, seed, lb)
             else:
-                certs[point.j] = b_u(g, point.u, budget, seed=cover.separator, below=below)
+                certs[point.j] = b_u(g, point.u, budget, seed=seed, below=below)
                 lb = max(lb, certs[point.j].lower_bound)
         for point in profile.points:
             cert = certs[point.j]
@@ -326,7 +362,8 @@ def full_report(
             budget_limited = True
         upper = min(upper_genus, upper_independence)
 
-    lower = 1  # a positive-rank divisor has positive degree
+    # a positive-rank divisor has positive degree, and degree 1 only on a tree
+    lower = 2 if gen >= 1 else 1
     for value in (sep_bound, cheeger_bound):
         if value is not None:
             lower = max(lower, math.ceil(value[0]))
@@ -348,4 +385,5 @@ def full_report(
         upper=upper,
         notes=tuple(notes),
         budget_limited=budget_limited,
+        gonality=exact_gonality(g, budget, bracket=(lower, upper)) if gonality else None,
     )

@@ -290,10 +290,10 @@ def cmd_random(args) -> int:
 
 def cmd_pappus_demo(args) -> int:
     g = named_graph("pappus")
-    budget = build_budget(args)
-    report = full_report(g, budget)
+    report = full_report(g, build_budget(args), gonality=True)
     middle_ring = parse_divisor("0:1,1:1,2:1,3:1,4:1,5:1", g)
-    result = exact_gonality(g, budget)
+    result = report.gonality
+    certified = isinstance(result, GonalityCertificate)
     payload = {
         "cheeger_table": [{"j": r.j, "u": r.u, "h_u": r.h_u} for r in report.rows],
         "lambda2": report.spectral.lambda2,
@@ -304,18 +304,11 @@ def cmd_pappus_demo(args) -> int:
         },
         "middle_ring_divisor_positive_rank": has_positive_rank(middle_ring),
         "bracket": {"lower": report.lower, "upper": report.upper},
+        # the search ran inside the bracket, so a stopped one is already folded
+        "gonality": {"value": result.value, "witness": format_divisor(result.witness)}
+        if certified
+        else {"lower": result.lower, "upper": result.upper},
     }
-    certified = isinstance(result, GonalityCertificate)
-    if certified:
-        payload["gonality"] = {
-            "value": result.value,
-            "witness": format_divisor(result.witness),
-        }
-    else:
-        payload["gonality"] = {
-            "lower": max(result.lower, report.lower),
-            "upper": min(result.upper, report.upper),
-        }
     emit(payload, args.format)
     return EXIT_OK if certified and not report.budget_limited else EXIT_BUDGET
 

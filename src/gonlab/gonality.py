@@ -7,9 +7,15 @@ positive-rank divisor is one), so only those candidates are generated, in
 ascending colex order, by Dhar's burning algorithm.  The search never
 needs to pass the smaller of the genus bound and the independence bound,
 because a positive-rank witness of that degree is guaranteed to exist.
+Run on its own it starts at degree 1; run as the bound report's last stage
+it searches only inside the report's bracket, from its certified lower
+bound up (see `exact_gonality`).
 
 The independence bound has no search of its own: a minimum vertex cover
-is the separator B_u at u = 1/n, so `expansion.b_u` finds it.
+is the separator B_u at u = 1/n, so `expansion.b_u` finds it.  An integer
+bound on alpha (`independence_cap`) decides first whether a cover search
+could beat the genus bound at all; on every non-bipartite cubic graph it
+cannot, and no search runs.
 """
 
 from __future__ import annotations
@@ -21,14 +27,17 @@ from fractions import Fraction
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
 from gonlab.divisor import Divisor
 from gonlab.expansion import SeparatorCertificate, b_u
-from gonlab.graph import Multigraph, genus
+from gonlab.graph import Multigraph, genus, is_bipartite
 from gonlab.reduction import _positive_rank_obstruction, _reduced_divisors, _vertex_order
 
 
 @dataclass(frozen=True)
 class GonalityCertificate:
-    """Exact gonality with its witness: every degree below `value` was
-    searched exhaustively and holds no positive-rank divisor."""
+    """Exact gonality with its witness: no degree below `value` holds a
+    positive-rank divisor.  A search from degree 1 refuted every one of
+    them exhaustively; a search run from a bound report's lower end L
+    searched degrees L ... value - 1, and degrees below L are ruled out by
+    the report's lower-bound stage that set L."""
 
     value: int
     witness: Divisor
@@ -37,7 +46,8 @@ class GonalityCertificate:
 @dataclass(frozen=True)
 class GonalityBracket:
     """Best-known range when the search stopped before certifying: every
-    degree below `lower` was searched exhaustively."""
+    degree below `lower` was searched exhaustively or, below the lower end
+    of the bracket the search started from, ruled out by a bound."""
 
     lower: int
     upper: int
@@ -57,6 +67,8 @@ def exact_gonality(
     g: Multigraph,
     budget: SearchBudget = DEFAULT_BUDGET,
     max_degree: int | None = None,
+    *,
+    bracket: tuple[int, int] | None = None,
 ) -> GonalityCertificate | GonalityBracket:
     """Smallest degree of a positive-rank divisor, with witness.
 
@@ -69,19 +81,29 @@ def exact_gonality(
     The genus bound and the complement of a greedy independent set give
     the upper end in linear time, so the whole budget goes to the search.
     The search finds its witness at or below any valid upper bound.
+
+    `bracket`, when given, is (lower, upper) of a bound report: a certified
+    lower bound and a valid upper bound.  The search then runs from `lower`
+    to `upper` only, as the report's last stage.  Whenever the gonality
+    lies in the bracket, the value and the witness are those of the search
+    from degree 1, since every degree below the gonality holds no witness.
     """
     if not g.is_connected():
         raise ValueError("gonality search requires a connected graph")
     if max_degree is not None and max_degree < 0:
         raise ValueError("max_degree must not be negative")
-    upper = min(
-        genus_upper_bound(g),
-        max(1, complement_divisor(g, greedy_independent_set(g)).degree()),
-    )
+    if bracket is None:
+        lower = 1
+        upper = min(
+            genus_upper_bound(g),
+            max(1, complement_divisor(g, greedy_independent_set(g)).degree()),
+        )
+    else:
+        lower, upper = bracket
     limit = upper if max_degree is None else min(upper, max_degree)
     order = _vertex_order(g)
     tick = budget.meter("gonality search").tick
-    for degree in range(1, limit + 1):
+    for degree in range(lower, limit + 1):
         try:
             witness_chips = _search_level(g, degree, order, tick)
         except BudgetExceededError as exc:
@@ -134,6 +156,33 @@ def greedy_independent_set(g: Multigraph) -> frozenset[int]:
     return frozenset(chosen)
 
 
+def independence_cap(g: Multigraph) -> int:
+    """An upper bound on alpha(G) from the valences alone, with no search.
+
+    An independent set I of a loopless multigraph has its valences sum to
+    e(I, V - I) <= m, with equality only when V - I is independent too,
+    that is on a bipartite graph.  So alpha is at most the number of
+    smallest valences whose sum fits in m, or in m - 1 on a non-bipartite
+    graph.  On a k-regular graph that is n/2, and below n/2 unless the
+    graph is bipartite.
+    """
+    room = g.m if is_bipartite(g) else g.m - 1
+    count = 0
+    for d in sorted(g.val(v) for v in range(g.n)):
+        room -= d
+        if room < 0:
+            break
+        count += 1
+    return count
+
+
+def cover_search_pays(g: Multigraph) -> bool:
+    """Whether a vertex-cover search could give an independence bound below
+    the genus bound: a complement divisor of an independent set I has
+    degree at least n - |I| >= n - `independence_cap`."""
+    return g.n - independence_cap(g) < genus_upper_bound(g)
+
+
 def independence_upper_bound(
     g: Multigraph,
     budget: SearchBudget = DEFAULT_BUDGET,
@@ -152,25 +201,32 @@ def independence_upper_bound(
     at u = 1/n, searched from the greedy set's complement.  On multigraphs
     the weights depend on the set, so the lighter of its and the greedy
     set's complement divisors is taken: never weaker than the greedy bound.
+    Where no cover can beat the genus bound (`cover_search_pays` is false),
+    no search runs: the greedy set's complement divisor is the bound, and
+    the smaller of it and the genus bound is the genus bound, as it would
+    be after any search.
 
     `cover`, when given, is the certificate of that very search, already
     run (the bound report's first grid row is this search), and no search
     is run here; it must be a separator at u = 1/n (ValueError otherwise).
 
-    Returns (bound, exact), exact when the cover is certified minimum; the
-    cover of a stopped search still gives a valid bound.  Floored at 1:
-    gonality is at least 1, and on a single vertex the complement is empty.
+    Returns (bound, exact), exact when the cover is certified minimum or no
+    cover search was needed; the cover of a stopped search still gives a
+    valid bound.  Floored at 1: gonality is at least 1, and on a single
+    vertex the complement is empty.
     """
     if g.n == 1:
         return 1, True
-    greedy = greedy_independent_set(g)
-    everything = frozenset(range(g.n))
-    if cover is None:
-        cover = b_u(g, Fraction(1, g.n), budget, seed=everything - greedy)
-    elif cover.max_component != 1:
+    if cover is not None and cover.max_component != 1:
         raise ValueError(
             f"a vertex cover leaves single vertices, not components of {cover.max_component}"
         )
+    greedy = greedy_independent_set(g)
+    if not cover_search_pays(g):
+        return max(1, complement_divisor(g, greedy).degree()), True
+    everything = frozenset(range(g.n))
+    if cover is None:
+        cover = b_u(g, Fraction(1, g.n), budget, seed=everything - greedy)
     bound = min(complement_divisor(g, s).degree() for s in (everything - cover.separator, greedy))
     return max(1, bound), cover.optimal
 

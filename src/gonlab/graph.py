@@ -42,6 +42,7 @@ class Multigraph:
         init=False, repr=False, compare=False
     )
     _val: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _m: int = field(init=False, repr=False, compare=False)
     _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _layers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _connected: bool = field(init=False, repr=False, compare=False)
@@ -72,6 +73,7 @@ class Multigraph:
         )
         object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
         object.__setattr__(self, "_val", tuple(val))
+        object.__setattr__(self, "_m", sum(val) // 2)
         object.__setattr__(self, "_masks", tuple(masks))
         object.__setattr__(self, "_layers", layers)
         object.__setattr__(self, "_connected", len(components(self)) == 1)
@@ -90,7 +92,7 @@ class Multigraph:
     @property
     def m(self) -> int:
         """Total edge count, with multiplicity."""
-        return sum(mult for _, _, mult in self.edges)
+        return self._m
 
     def val(self, v: int) -> int:
         return self._val[v]
@@ -277,6 +279,25 @@ def _mask_tuple(mask: int) -> tuple[int, ...]:
         out.append(b.bit_length() - 1)
         mask ^= b
     return tuple(out)
+
+
+def is_bipartite(g: Multigraph) -> bool:
+    """Whether the vertices 2-colour with every edge between the colours."""
+    colour = [-1] * g.n
+    for start in range(g.n):
+        if colour[start] >= 0:
+            continue
+        colour[start] = 0
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for w, _ in g.neighbors(x):
+                if colour[w] < 0:
+                    colour[w] = 1 - colour[x]
+                    stack.append(w)
+                elif colour[w] == colour[x]:
+                    return False
+    return True
 
 
 def genus(g: Multigraph) -> int:

@@ -13,9 +13,11 @@ seed XOR splitmix64(i), so workers can evaluate samples concurrently with
 results independent of scheduling, and a fixed (params, index) pair always
 yields the same graph.
 
-A record is a projection of the sample's bound report.  Two size caps
-apply: `cheeger_cap` to the Cheeger scan and its separator searches
-together, `gonality_cap` to the gonality search and the upper bounds.
+A record is a projection of the sample's bound report, whose last stage
+is the gonality search inside the report's bracket: the harness folds no
+bracket of its own.  Two size caps apply: `cheeger_cap` to the Cheeger
+scan and its separator searches together, `gonality_cap` to the gonality
+search and the upper bounds.
 
 Caution on interpretation: the published asymptotic constants for random
 cubic graphs describe n -> infinity behavior; the harness only reports
@@ -32,12 +34,12 @@ import numpy as np
 
 from gonlab.bounds import full_report
 from gonlab.budget import DEFAULT_BUDGET, SearchBudget
-from gonlab.gonality import GonalityCertificate, exact_gonality
+from gonlab.gonality import GonalityCertificate
 from gonlab.graph import Multigraph
 
-# Unused here: perfbench/tracing.py patches these three names and exits if one is gone.
+# Unused here: perfbench/tracing.py patches these four names and exits if one is gone.
 from gonlab.expansion import b_u, cheeger_profile  # noqa: F401
-from gonlab.gonality import independence_upper_bound  # noqa: F401
+from gonlab.gonality import exact_gonality, independence_upper_bound  # noqa: F401
 
 
 def _splitmix64(x: int) -> int:
@@ -185,14 +187,15 @@ def _evaluate_sample(
     if not sample["connected"]:
         return ExperimentRecord(**sample)
     in_cap = g.n <= caps.gonality_cap  # upper bounds are reported only next to a gonality
-    report = full_report(g, budget, exact_cheeger_cap=caps.cheeger_cap, upper_bounds=in_cap)
+    report = full_report(
+        g, budget, exact_cheeger_cap=caps.cheeger_cap, upper_bounds=in_cap, gonality=in_cap
+    )
     gonality = sandwich = None
     status = "capped"
     if in_cap:
-        result = exact_gonality(g, budget)
         status = "budget"
-        if isinstance(result, GonalityCertificate):
-            gonality, status = result.value, "certified"
+        if isinstance(report.gonality, GonalityCertificate):
+            gonality, status = report.gonality.value, "certified"
             sandwich = report.lower <= gonality <= report.upper
     return ExperimentRecord(
         **sample,

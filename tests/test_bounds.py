@@ -1,7 +1,8 @@
+import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from gonlab.budget import SearchBudget
 from gonlab.expansion import b_u, cheeger_profile
 from gonlab.gonality import GonalityCertificate, exact_gonality, independence_upper_bound
 from gonlab.graph import Multigraph, named_graph
+from gonlab.randgraph import ConfigModelParams, sample_configuration
 from oracles import brute_alpha, brute_b_u, brute_gonality
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -228,6 +230,56 @@ def test_full_report_k2_bracket():
     assert banana.lower <= 2 <= banana.upper
 
 
+def test_full_report_tree_fact_lifts_lower_to_two():
+    """A degree-1 divisor has positive rank only on a tree, so from genus 1
+    on `lower` is at least 2, also where every other stage gives 1."""
+    report = full_report(named_graph("cycle:200"))
+    assert report.rows == () and report.spectral.ceiling == 1
+    assert report.bracket == (2, 2)
+
+
+def _connected_cubic12(count: int) -> list[Multigraph]:
+    params = ConfigModelParams(k=3, n=12, seed=1)
+    samples = (sample_configuration(params, i) for i in itertools.count())
+    return list(itertools.islice((g for g in samples if g.is_connected()), count))
+
+
+def test_staged_search_matches_the_search_from_degree_one(corpus, pappus):
+    """The search stage starts at the report's certified `lower`, so it
+    cannot falsify it; the search from degree 1 does: its value lies in
+    the report's bracket, and the staged value and witness equal its own."""
+    for g in corpus + [pappus] + _connected_cubic12(40):
+        report = full_report(g, gonality=True)
+        plain = exact_gonality(g)
+        assert isinstance(plain, GonalityCertificate)
+        assert report.lower <= plain.value <= report.upper
+        staged = report.gonality
+        assert isinstance(staged, GonalityCertificate)
+        assert (staged.value, staged.witness.chips) == (plain.value, plain.witness.chips)
+        assert report == replace(full_report(g), gonality=staged)
+
+
+def test_staged_search_on_pappus_searches_only_the_bracket(pappus):
+    """Degrees 1 to 5 are ruled out by the spectral bound, so the search
+    stage takes 17 steps where the search from degree 1 takes 14,137."""
+    budget = RecordingBudget()
+    report = full_report(pappus, budget, gonality=True)
+    assert report.bracket == (6, 9) and report.gonality.value == 6
+    assert [m.count for m in budget.meters if m.what == "gonality search"] == [17]
+
+
+def test_full_report_skips_a_cover_search_that_cannot_pay():
+    """On a non-bipartite cubic graph no vertex cover beats the genus bound,
+    so the report opens no cover meter, is not flagged, and has the genus
+    bound as `upper`."""
+    g = sample_configuration(ConfigModelParams(k=3, n=200, seed=7))
+    budget = RecordingBudget()
+    report = full_report(g, budget)
+    assert not any(m.what == "separator search" for m in budget.meters)
+    assert not report.budget_limited
+    assert report.upper == report.upper_genus == 101
+
+
 def test_full_report_refuses_a_negative_cheeger_cap():
     with pytest.raises(ValueError, match="must not be negative"):
         full_report(named_graph("k4"), exact_cheeger_cap=-5)
@@ -290,10 +342,10 @@ def test_full_report_shares_the_cover_search(corpus, pappus):
 
 
 def test_full_report_notes_a_stopped_cover_search():
-    report = full_report(named_graph("cycle:12"), SearchBudget(max_steps=0), exact_cheeger_cap=0)
+    report = full_report(named_graph("pappus"), SearchBudget(max_steps=0), exact_cheeger_cap=0)
     assert report.budget_limited
     assert report.notes[-1] == (
-        "vertex-cover search exhausted budget: independence upper bound 6 "
+        "vertex-cover search exhausted budget: independence upper bound 9 "
         "comes from the best cover found"
     )
 
@@ -419,7 +471,7 @@ CUBIC_16 = Multigraph.from_edges(
         ),
         (
             CUBIC_16,
-            [("cheeger scan", 1195)] + [("separator search", c) for c in (13, 548, 672)],
+            [("cheeger scan", 1195)] + [("separator search", c) for c in (548, 672)],
         ),
     ],
     ids=["pappus", "cubic16"],
@@ -427,12 +479,14 @@ CUBIC_16 = Multigraph.from_edges(
 def test_full_report_work_counts_are_pinned(g, counts):
     """Every search's step count in the bound report.  The engines' search
     trees, branch orders and tie-breaks decide these counts, so a rewrite
-    that keeps them keeps the trees.  The first grid row, u = 1/n, is also
-    the vertex-cover search of the independence bound, so no cover search
-    follows the rows.  Rows j >= 2 run from u = 1/2 down and search only
+    that keeps them keeps the trees.  On Pappus, which is bipartite, the
+    first grid row, u = 1/n, is the vertex-cover search of the independence
+    bound, so no cover search follows the rows.  On cubic16 no cover can
+    beat the genus bound, so no cover search runs at all and row 1 is
+    settled by n - alpha_cap.  Rows run from u = 1/2 down and search only
     below ceil(h*j); a row whose target a larger u's lower bound already
     reaches opens no meter (Pappus searches rows 9 and 8 and settles 7 to 2,
-    cubic16 searches rows 8 and 7 and settles 6 to 2)."""
+    cubic16 searches rows 8 and 7 and settles 6 to 1)."""
     budget = RecordingBudget()
     full_report(g, budget)
     assert [(m.what, m.count) for m in budget.meters] == counts

@@ -4,7 +4,7 @@ step cap or deadline of 0 stops it at its first step.
 Each deadline input needs well over three times the deadline without a
 budget (2-core x86-64, Python 3.11: K22 Cheeger scan 3.7 s, where K20
 takes 0.9 s and K21 1.6 s, separator search on a quartic n=32 at
-u=10/32 4.1 s, vertex cover of a cubic n=200 (seed 7) over 30 s,
+u=10/32 4.1 s, vertex cover of a quartic n=100 (seed 7) over 5 s,
 gonality search on a quartic n=18 8.6 s, cycle:300 gonality search
 1.7 s, nearly all of it the rank test of its first degree-2 candidate,
 which is the witness, rank test on path:800 1.5 s).  A call must come
@@ -56,7 +56,7 @@ ENGINES = {
     ),
     "independence_upper_bound": (
         lambda budget: independence_upper_bound(
-            sample_configuration(ConfigModelParams(k=3, n=200, seed=7)), budget
+            sample_configuration(ConfigModelParams(k=4, n=100, seed=7)), budget
         ),
         lambda result: not result[1],
     ),
@@ -100,7 +100,7 @@ ZERO_CAP_ENGINES = {
         lambda cert: not cert.optimal,
     ),
     "independence_upper_bound": (
-        lambda budget: independence_upper_bound(named_graph("cycle:8"), budget),
+        lambda budget: independence_upper_bound(named_graph("pappus"), budget),
         lambda result: not result[1],
     ),
     "exact_gonality": (

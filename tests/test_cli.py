@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,10 +171,10 @@ def test_bu_malformed_u_is_an_input_error(u, capsys):
 
 
 def test_bounds_stopped_cover_search_note(capsys):
-    code, payload = run_json(capsys, "bounds", "cycle:12", "--cheeger-cap", "0", "--budget", "0")
+    code, payload = run_json(capsys, "bounds", "pappus", "--cheeger-cap", "0", "--budget", "0")
     assert code == 2
     assert payload["notes"][-1] == (
-        "vertex-cover search exhausted budget: independence upper bound 6 "
+        "vertex-cover search exhausted budget: independence upper bound 9 "
         "comes from the best cover found"
     )
 
@@ -311,6 +315,24 @@ def test_text_formats_spell_scalars_like_json(capsys):
     assert code == 0
     lines = dict(line.split() for line in out.strip().splitlines())
     assert (lines["holds"], lines["witness"]) == ("true", "null")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("spectral", "pappus"), 0), (("gonality", "cycle:8", "--budget", "0"), 2)],
+    ids=["spectral", "stopped-gonality"],
+)
+def test_python_dash_m_runs_the_cli(argv, code, capsys):
+    """`python -m gonlab` prints what `main` prints and passes its exit code on."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gonlab", *argv, "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == run_cli(capsys, *argv, "--format", "json")
+    assert proc.returncode == code
 
 
 def test_pappus_demo(capsys):

@@ -14,15 +14,18 @@ from gonlab.gonality import (
     GonalityBracket,
     GonalityCertificate,
     complement_divisor,
+    cover_search_pays,
     exact_gonality,
     genus_upper_bound,
     greedy_independent_set,
+    independence_cap,
     independence_upper_bound,
 )
 from gonlab.graph import Multigraph, genus, named_graph
 from gonlab.reduction import has_positive_rank
 from gonlab.randgraph import ConfigModelParams, sample_configuration
 from oracles import (
+    brute_alpha,
     brute_gonality,
     brute_reduced_witness,
     rescan_greedy_independent_set,
@@ -231,24 +234,61 @@ def test_stopped_independence_bound_is_no_weaker_than_greedy(corpus, pappus):
         assert bound <= max(1, greedy)
 
 
+def _prism(r: int) -> Multigraph:
+    """Two r-cycles joined by a perfect matching: cubic, bipartite for even r."""
+    rings = [(i, (i + 1) % r) for i in range(r)] + [(r + i, r + (i + 1) % r) for i in range(r)]
+    return Multigraph.from_edges(2 * r, rings + [(i, r + i) for i in range(r)])
+
+
 @pytest.mark.parametrize(
     "g, expected",
     [
-        (named_graph("cycle:200"), 100),
-        (sample_configuration(ConfigModelParams(k=3, n=60, seed=7)), 35),
+        (_prism(100), 100),
+        (sample_configuration(ConfigModelParams(k=4, n=60, seed=7)), 39),
     ],
-    ids=["cycle200", "cubic60"],
+    ids=["prism200", "quartic60"],
 )
 def test_independence_bound_is_certified_within_a_deadline(g, expected):
-    """The cover search's packing bound proves these optima quickly; a
-    prune that counts only picked vertices plus candidates cannot."""
+    """The cover search's packing bound proves these optima quickly.  Both
+    graphs run the search: a cover can beat their genus bounds (a bipartite
+    cubic graph, and a quartic one, whose genus exceeds n)."""
+    assert cover_search_pays(g)
     assert independence_upper_bound(g, SearchBudget.with_seconds(3)) == (expected, True)
+
+
+def test_independence_cap_bounds_alpha(corpus, pappus):
+    """The valence count bounds the independence number of the all-subsets
+    oracle from above, and is tight on bipartite cubic Pappus (alpha 9)."""
+    for g in corpus + [pappus]:
+        assert brute_alpha(g) <= independence_cap(g)
+    assert independence_cap(pappus) == 9
+
+
+def test_skipped_cover_search_could_not_beat_the_genus_bound(corpus, pappus):
+    """Where the gate skips the cover search, the complement divisor of an
+    exact minimum vertex cover is no lighter than the genus bound, and the
+    independence bound is the greedy one with no search."""
+    skipped = 0
+    for g in corpus + [pappus]:
+        if cover_search_pays(g):
+            continue
+        skipped += 1
+        cover = b_u(g, Fraction(1, g.n))
+        assert cover.optimal and cover.size == g.n - brute_alpha(g)
+        complement = complement_divisor(g, frozenset(range(g.n)) - cover.separator)
+        assert complement.degree() >= genus_upper_bound(g)
+        budget = RecordingBudget()
+        greedy = complement_divisor(g, greedy_independent_set(g)).degree()
+        assert independence_upper_bound(g, budget) == (max(1, greedy), True)
+        assert budget.meters == []
+    assert cover_search_pays(pappus)
+    assert skipped == 87
 
 
 def test_exact_gonality_deadline_goes_to_the_search():
     """The upper end must not spend the deadline before degree 1: it comes
     from the greedy independent set in linear time, not from the cover
-    search, which on a cubic n=200 does not finish in 30 s."""
+    search, which on a quartic n=100 takes 7 s."""
     start = time.monotonic()
     result = exact_gonality(named_graph("cycle:60"), SearchBudget.with_seconds(3))
     assert time.monotonic() - start < 1

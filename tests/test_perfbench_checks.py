@@ -15,11 +15,12 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # sha256 over the exit code and stdout of the first 32 cubic-bounds ops and
 # the first 8 harness-small ops at seed 1, recorded when the bound report
-# began to search grid rows j >= 2 only below ceil(h*j), which prints null
-# for `separator_size` where a row's search proved only B_u >= ceil(h*j);
-# every other byte is the earlier one.  A change to the search's cost, not
-# its tree, must keep these bytes
-FIRST_OPS_DIGEST = "099fd46dc3e01de34373740636ab699ce7650893d7f2c90921ef6ff2675950b9"
+# stopped running a vertex-cover search that cannot beat the genus bound:
+# row 1's `separator_size` is null where the greedy cover is not proven
+# minimum, and `upper_independence` is the greedy complement's degree (10
+# of the 32 cubic outputs changed; `lower` and `upper` did not).  A change
+# to the search's cost, not its tree, must keep these bytes
+FIRST_OPS_DIGEST = "7cbb1b77cd0debc80d21809833065121e17adf42a01cd5ecca5b6c5b077cc49e"
 
 
 @pytest.mark.parametrize("name", ["cubic-bounds", "harness-small"])
