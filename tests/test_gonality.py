@@ -241,19 +241,26 @@ def _prism(r: int) -> Multigraph:
 
 
 @pytest.mark.parametrize(
-    "g, expected",
+    "g, expected, searched",
     [
-        (_prism(100), 100),
-        (sample_configuration(ConfigModelParams(k=4, n=60, seed=7)), 39),
+        (named_graph("cycle:200"), 100, False),
+        (sample_configuration(ConfigModelParams(k=3, n=60, seed=7)), 36, False),
+        (_prism(100), 100, True),
+        (sample_configuration(ConfigModelParams(k=4, n=60, seed=7)), 39, True),
     ],
-    ids=["prism200", "quartic60"],
+    ids=["cycle200", "cubic60", "prism200", "quartic60"],
 )
-def test_independence_bound_is_certified_within_a_deadline(g, expected):
-    """The cover search's packing bound proves these optima quickly.  Both
-    graphs run the search: a cover can beat their genus bounds (a bipartite
-    cubic graph, and a quartic one, whose genus exceeds n)."""
-    assert cover_search_pays(g)
+def test_independence_bound_is_certified_within_a_deadline(g, expected, searched):
+    """The bound is certified within the deadline.  The prism (bipartite
+    cubic) and the quartic graph, whose genus exceeds n, run the cover
+    search, whose packing bound proves their optima quickly.  On the cycle
+    and the non-bipartite cubic graph no cover can beat the genus bound, so
+    the gate certifies the greedy complement with no search (on cubic60 it
+    is 36, one above n - alpha)."""
+    assert cover_search_pays(g) is searched
     assert independence_upper_bound(g, SearchBudget.with_seconds(3)) == (expected, True)
+    if not searched:
+        assert expected >= genus_upper_bound(g)
 
 
 def test_independence_cap_bounds_alpha(corpus, pappus):
