@@ -36,7 +36,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
-from gonlab.expansion import CheegerProfile, SeparatorCertificate, b_u, cheeger_profile
+from gonlab.expansion import (
+    CheegerProfile,
+    SeparatorCertificate,
+    _violation,
+    b_u,
+    cheeger_profile,
+    sweep_cuts,
+)
 from gonlab.gonality import (
     GonalityBracket,
     GonalityCertificate,
@@ -47,13 +54,8 @@ from gonlab.gonality import (
     independence_cap,
     independence_upper_bound,
 )
-from gonlab.graph import Multigraph, genus
-from gonlab.spectral import (
-    MIN_VERTICES,
-    SpectralBound,
-    gonality_bound_bracket,
-    spectral_gonality_bound,
-)
+from gonlab.graph import Multigraph, _mask_tuple, genus
+from gonlab.spectral import SpectralBound, gonality_bound_bracket, spectral_gonality_bound
 
 DEFAULT_EXACT_CHEEGER_CAP = 24
 """Largest n at which `full_report` runs the Cheeger scan and the separators."""
@@ -87,40 +89,82 @@ def grid_rows(
     row minimum h*u*n.  `separator_size` is B_u where the certificate is
     optimal and None elsewhere; `row_min_separator` is exact in both cases.
     Refuses a profile of another graph and any other certificate: an upper
-    bound on B_u is not a valid gonality lower bound.
+    bound on B_u is not a valid gonality lower bound.  Ratios are compared
+    by integer cross-multiplication; each printed `Fraction` is built once.
     """
     if profile.n != g.n:
         raise ValueError("profile belongs to a different graph")
     k = g.regularity()
+    hn, hd = profile.h.numerator, profile.h.denominator
     rows = []
     for point in profile.points:
-        cert = separators.get(point.j)
-        h_times_un = profile.h * point.j
-        if cert is not None and not _pins_row(cert, h_times_un):
+        j = point.j
+        cert = separators.get(j)
+        h_times_un = Fraction(hn * j, hd)
+        if cert is not None and not _pins_row(cert, profile.h, j):
             raise ValueError(
                 f"separator certificate at u={cert.u} is not optimal and its lower "
                 f"bound {cert.lower_bound} is below h*u*n = {h_times_un}"
             )
-        transform = point.value / (k + point.value) * g.n if k is not None else None
+        transform = row_min_transform = None
+        if k is not None:  # h_u/(k+h_u)*n = a*n/(k*b + a) for h_u = a/b
+            a, b = point.value.numerator, point.value.denominator
+            tn, td = a * g.n, k * b + a
+            transform = Fraction(tn, td)
+            row_min_transform = transform if tn * hd <= hn * j * td else h_times_un
+        row_min_separator = None
+        if cert is not None:  # size >= lower_bound >= h*u*n where it is not optimal
+            row_min_separator = Fraction(cert.size) if cert.size * hd <= hn * j else h_times_un
         rows.append(
             GridRow(
-                j=point.j,
+                j=j,
                 u=point.u,
                 h_u=point.value,
                 h_times_un=h_times_un,
                 separator_size=cert.size if cert is not None and cert.optimal else None,
                 transform=transform,
-                # size >= lower_bound >= h*u*n where the certificate is not optimal
-                row_min_separator=min(Fraction(cert.size), h_times_un) if cert else None,
-                row_min_transform=min(transform, h_times_un) if transform is not None else None,
+                row_min_separator=row_min_separator,
+                row_min_transform=row_min_transform,
             )
         )
     return tuple(rows)
 
 
-def _pins_row(cert: SeparatorCertificate, h_times_un: Fraction) -> bool:
-    """Whether `cert` fixes min{B_u, h*u*n}: B_u is exact, or at least h*u*n."""
-    return cert.optimal or cert.lower_bound >= h_times_un
+def _pins_row(cert: SeparatorCertificate, h: Fraction, j: int) -> bool:
+    """Whether `cert` fixes min{B_u, h*j}: B_u is exact, or at least h*j."""
+    return cert.optimal or cert.lower_bound * h.denominator >= h.numerator * j
+
+
+def _witness_boundaries(g: Multigraph, profile: CheegerProfile) -> list[int]:
+    """Masks of the inner and outer vertex boundaries of the profile's
+    witnesses, smallest first.  Each separates its witness from the rest
+    of the graph, so it is a separator at every u that leaves no larger
+    component than it does."""
+    adj = g._masks
+    found = set()
+    for witness in {p.witness for p in profile.points}:
+        mask = sum(1 << v for v in witness)
+        inner = outer = 0
+        for v in witness:
+            if adj[v] & ~mask:
+                inner |= 1 << v
+            outer |= adj[v]
+        found.update((inner, outer & ~mask))
+    return sorted(found, key=int.bit_count)
+
+
+def _boundary_seed(g: Multigraph, boundaries: list[int], t: int, below: int) -> frozenset[int]:
+    """The first of `boundaries` (smallest first) with fewer than `below`
+    vertices that leaves no component larger than t, or the empty set.
+    Such a seed proves B_u < `below`, so a search with that target runs to
+    the optimum from it, as it would from any other seed."""
+    full = (1 << g.n) - 1
+    for mask in boundaries:
+        if mask.bit_count() >= below:
+            break
+        if _violation(g._masks, full ^ mask, t) is None:
+            return frozenset(_mask_tuple(mask))
+    return frozenset()
 
 
 def _settled(
@@ -238,10 +282,16 @@ def full_report(
 ) -> BoundReport:
     """Run every applicable bound stage and fold the final integer bracket.
 
-    The stages are the exact Cheeger profile, the separators, the spectral
-    bound, the tree fact and, when `upper_bounds` is set, the genus and
-    independence upper bounds.  The separator of the first grid row,
-    u = 1/n, is the minimum vertex cover that the independence bound
+    The stages are the spectral bound, the exact Cheeger profile, the
+    separators, the tree fact and, when `upper_bounds` is set, the genus and
+    independence upper bounds.  Each stage hands on what it has certified,
+    so the later searches start closer to their answers: the sweep cuts of
+    the Fiedler vector (`expansion.sweep_cuts`) seed the Cheeger scan, and
+    the vertex boundaries of the profile's witnesses seed the separator
+    rows.  Seeds shrink the search trees and change step counts, never a
+    value or a witness.  The graph's greedy set, alpha cap and bipartite
+    test are computed once, on the graph.  The separator of the first grid
+    row, u = 1/n, is the minimum vertex cover that the independence bound
     needs.  Where that search can beat the genus bound
     (`gonality.cover_search_pays`), it runs first and uncapped, and the
     cover seeds every later row: a cover is a separator at every u.
@@ -249,21 +299,26 @@ def full_report(
     rows, and row 1 joins the others with n - `independence_cap`, a lower
     bound on the cover size B_{1/n}, as a free lower bound.  The rows then
     run from u = 1/2 down, and each needs only B_u >= ceil(h*j) or the
-    optimum below it.  A row whose B_u is already known to reach
-    ceil(h*j), because a row at a larger u proved that lower bound, is
-    settled with no search: its certificate is the cover with that
-    `lower_bound`.  Every other row searches only for separators below
-    ceil(h*j): if none exists, B_u >= h*j and the row minimum is h*j; if
-    one does, the search runs on to the optimum, which is then below h*j
-    and is the row minimum.  A Cheeger scan stopped by the budget, or a
-    separator search whose certificate does not pin its row minimum, is
-    excluded from the lower-bound fold (soundness firewall); it, or a
-    stopped vertex-cover search, is recorded in `notes` (rows in ascending
-    u) and flags `budget_limited`.  On fewer than 3 vertices the spectral
-    bound is not a theorem; its ceiling is then 1 and `notes` says so.  A
-    degree-1 divisor has positive rank only on a tree (Baker and Norine,
-    2007), so `lower` is at least 2 from genus 1 on.  A negative
-    `exact_cheeger_cap` is a ValueError.
+    optimum below it.  A row whose B_u is already known to reach ceil(h*j),
+    because a row at a larger u proved that lower bound, is settled with no
+    search: its certificate is the cover with that `lower_bound`.  Every
+    other row searches only for separators below ceil(h*j): if none exists,
+    B_u >= h*j and the row minimum is h*j; if one does, the search runs on
+    to the optimum, which is then below h*j and is the row minimum.  Such a
+    row starts from the smallest inner or outer vertex boundary of a Cheeger
+    witness that is below ceil(h*j) and leaves no component above j, where
+    there is one (it proves the optimum lies below the target, so the row
+    runs to it as before), and from the cover otherwise.  A boundary at or
+    above the target is never a seed: it would print a size where the row
+    prints null.  A Cheeger scan stopped by the budget, or a separator
+    search whose certificate does not pin its row minimum, is excluded from
+    the lower-bound fold (soundness firewall); it, or a stopped vertex-cover
+    search, is recorded in `notes` (rows in ascending u) and flags
+    `budget_limited`.  On fewer than 3 vertices the spectral bound is not a
+    theorem; its ceiling is then 1 and `notes` says so.  A degree-1 divisor
+    has positive rank only on a tree (Baker and Norine, 2007), so `lower` is
+    at least 2 from genus 1 on.  A negative `exact_cheeger_cap` is a
+    ValueError.
 
     `gonality` adds the search as the last stage, and implies the upper
     bounds: the ascending search of `gonality.exact_gonality` runs from
@@ -280,6 +335,8 @@ def full_report(
     budget_limited = False
     k = g.regularity()
     gen = genus(g)
+    # first, so that its Fiedler vector's sweep cuts can seed the scan
+    spectral = spectral_gonality_bound(g) if g.n >= 2 else None
 
     profile: CheegerProfile | None = None
     if g.n > exact_cheeger_cap:
@@ -289,7 +346,7 @@ def full_report(
         )
     elif g.n >= 2:
         try:
-            profile = cheeger_profile(g, budget)
+            profile = cheeger_profile(g, budget, seeds=sweep_cuts(g, spectral.fiedler_vector))
         except BudgetExceededError as exc:
             notes.append(f"cheeger scan exhausted budget: {exc}; grid bounds skipped")
             budget_limited = True
@@ -313,19 +370,22 @@ def full_report(
         # holds at every row below it: run down from u = 1/2, keeping in `lb`
         # the largest one so far, and settle a row it already lifts to
         # ceil(h*j) without a search
+        hn, hd = profile.h.numerator, profile.h.denominator
+        boundaries = _witness_boundaries(g, profile)
         lb = 0
         for point in reversed(descending):
-            below = math.ceil(profile.h * point.j)
+            below = -(-hn * point.j // hd)
             if point.j == 1:  # B_{1/n} = n - alpha
                 lb = max(lb, g.n - independence_cap(g))
             if lb >= below:
                 certs[point.j] = _settled(g, point.u, seed, lb)
             else:
-                certs[point.j] = b_u(g, point.u, budget, seed=seed, below=below)
+                row_seed = _boundary_seed(g, boundaries, point.j, below) or seed
+                certs[point.j] = b_u(g, point.u, budget, seed=row_seed, below=below)
                 lb = max(lb, certs[point.j].lower_bound)
         for point in profile.points:
             cert = certs[point.j]
-            if _pins_row(cert, profile.h * point.j):
+            if _pins_row(cert, profile.h, point.j):
                 separators[point.j] = cert
             else:
                 notes.append(
@@ -341,14 +401,8 @@ def full_report(
     if k is None:
         notes.append("graph is not regular: cheeger grid bound inapplicable")
 
-    spectral = None
-    if g.n >= 2:
-        spectral = spectral_gonality_bound(g)
-        if g.n < MIN_VERTICES:
-            notes.append(
-                f"n={g.n} below {MIN_VERTICES}: the spectral bound does not apply, "
-                "its ceiling is the trivial 1"
-            )
+    if spectral is not None and spectral.note is not None:
+        notes.append(spectral.note)
 
     upper_genus = upper_independence = upper = None
     if upper_bounds:

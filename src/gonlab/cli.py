@@ -54,8 +54,13 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if is_dataclass(obj):  # field by field; `asdict` would deep-copy every value first
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+        return {name: _jsonable(getattr(obj, name)) for name in _field_names(type(obj))}
     return obj
+
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
 def emit(payload, fmt: str) -> None:
@@ -162,6 +167,8 @@ def cmd_spectral(args) -> int:
                 "ceiling": bound.ceiling,
             },
         }
+        if bound.note is not None:
+            payload["note"] = bound.note
     else:
         summary = algebraic_connectivity(g)
         payload = {

@@ -11,6 +11,8 @@ induced subgraph: a disconnected subset splits as U1 | U2 with
 connected part of no larger size does at least as well.  The scan also
 skips every subtree whose subsets can neither tie nor set a new running
 minimum of the least boundary per size, which is all the profile reads.
+Seed subsets, such as the sweep cuts of the Fiedler vector that the
+bound report passes, make that skip fire sooner and change nothing else.
 The all-subsets route is kept in the test suite as the independent oracle
 for both cuts.
 """
@@ -69,14 +71,15 @@ def edge_boundary(g: Multigraph, s) -> int:
     return sum(mult for u, v, mult in g.edges if (u in s) != (v in s))
 
 
-def _scan_connected_subsets(g: Multigraph, max_size: int, budget: SearchBudget):
+def _scan_connected_subsets(g: Multigraph, max_size: int, budget: SearchBudget, seeds=()):
     """(least, masks): per size j <= max_size, a boundary size and the mask
-    of a connected j-subset attaining it.  Index 0 is unused.  At every size
+    of a j-subset attaining it.  Index 0 is unused.  At every size
     that sets a new running minimum of least[j] / j (strictly below every
     smaller size's ratio), least[j] is the least boundary of a connected
     j-subset and masks[j] the lexicographically least subset attaining it;
-    at the other sizes least[j] may stay above the true value (or at the
-    sentinel m + 1), which `cheeger_profile` never reads.
+    at the other sizes least[j] may stay above the least over all
+    j-subsets (or at the sentinel m + 1), which `cheeger_profile` never
+    reads.
 
     Anchored enumeration: for each anchor vertex (the subset minimum), grow
     using only larger vertices, branching on include/exclude of one
@@ -100,6 +103,18 @@ def _scan_connected_subsets(g: Multigraph, max_size: int, budget: SearchBudget):
     minimum, all minimizers are reached: their ancestors' `fixed` is at
     most their boundary, which is below both thresholds.  Each visited
     subset ticks the meter once.
+
+    `seeds` are masks of subsets of 1 to `max_size` vertices, connected or
+    not, entered before the enumeration as if it had visited them, with
+    the same tie-break; `reach` is then refreshed once.  The argument above
+    needs only least[s] >= the least boundary of any s-subset, which every
+    seed keeps.  At a size that sets a new running minimum every minimizer
+    is connected (a split set is no better than its best part, of smaller
+    size), so it is still reached, and a seed there that is not one is
+    replaced: values and witnesses are the unseeded ones.  A good seed (a
+    sweep cut of the Fiedler vector, say) only makes the cut fire sooner.
+    At the other sizes a seed may leave a disconnected subset in masks[j].
+    Seeds tick no step.
     """
     adj = g._masks
     layers = g._layers
@@ -108,6 +123,19 @@ def _scan_connected_subsets(g: Multigraph, max_size: int, budget: SearchBudget):
     masks = [0] * (max_size + 1)
     reach = [g.m + 1] * (max_size + 1)
     tick = budget.meter("cheeger scan").tick
+
+    for mask in seeds:
+        size = mask.bit_count()
+        boundary, rest = 0, mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            boundary += val[v] - sum((layer & mask).bit_count() for layer in layers[v])
+        if boundary < least[size]:
+            least[size], masks[size] = boundary, mask
+        elif boundary == least[size] and (d := mask ^ masks[size]) & -d & mask:
+            masks[size] = mask
 
     def refresh():
         num, den = g.m + 1, 1  # the running minimum over the sizes below s
@@ -119,6 +147,9 @@ def _scan_connected_subsets(g: Multigraph, max_size: int, budget: SearchBudget):
         for s in range(max_size - 1, 0, -1):
             if reach[s] < reach[s + 1]:
                 reach[s] = reach[s + 1]
+
+    if seeds:
+        refresh()
 
     def rec(mask: int, size: int, boundary: int, ext: int, avail: int, fixed: int):
         tick()
@@ -155,33 +186,55 @@ def _scan_connected_subsets(g: Multigraph, max_size: int, budget: SearchBudget):
     return least, masks
 
 
-def cheeger_profile(g: Multigraph, budget: SearchBudget = DEFAULT_BUDGET) -> CheegerProfile:
+def sweep_cuts(g: Multigraph, vector) -> list[frozenset[int]]:
+    """The sweep cuts of a vertex ordering: sort the vertices by `vector`
+    ascending, and again descending, ties by index, and take every prefix
+    of at most n/2 vertices.  Sorted by the Fiedler vector, these are the
+    cuts of the spectral proof of the Cheeger inequality, and cheap
+    near-minimizers that the exact scan takes as seeds."""
+    if len(vector) != g.n:
+        raise ValueError(f"vector has {len(vector)} entries for {g.n} vertices")
+    half = g.n // 2
+    cuts = []
+    for key in (vector, [-x for x in vector]):
+        order = sorted(range(g.n), key=key.__getitem__)  # stable: ties by index
+        cuts.extend(frozenset(order[:size]) for size in range(1, half + 1))
+    return cuts
+
+
+def cheeger_profile(
+    g: Multigraph, budget: SearchBudget = DEFAULT_BUDGET, *, seeds=()
+) -> CheegerProfile:
     """Exact h_u over the full grid {j/n : 1 <= j <= n//2}, at any n.
 
     The connected-subset scan has no size cap; it raises
     BudgetExceededError when the step or time budget runs out, since a
-    partial scan bounds nothing.
+    partial scan bounds nothing.  `seeds`, vertex sets of 1 to n//2
+    vertices each (ValueError otherwise), start the scan from their
+    boundaries: they can shrink its tree, never change the profile or its
+    witnesses.  The bound report seeds it with the `sweep_cuts` of the
+    Fiedler vector.  Ratios are compared by integer cross-multiplication,
+    and each point's value and witness are built once per new running
+    minimum.
     """
     if not g.is_connected():
         raise ValueError("cheeger profile requires a connected graph")
     if g.n < 2:
         raise ValueError("cheeger profile needs at least 2 vertices")
     half = g.n // 2
+    seed_masks = []
+    for seed in map(frozenset, seeds):
+        if not 1 <= len(seed) <= half or not all(0 <= v < g.n for v in seed):
+            raise ValueError(f"a seed must be a set of 1 to {half} of the {g.n} vertices")
+        seed_masks.append(sum(1 << v for v in seed))
     # exact wherever the running minimum improves, size 1 included
-    least, masks = _scan_connected_subsets(g, half, budget)
+    least, masks = _scan_connected_subsets(g, half, budget, seed_masks)
     points = []
-    running: tuple[Fraction, int] | None = None
     for j in range(1, half + 1):
-        if running is None or Fraction(least[j], j) < running[0]:
-            running = (Fraction(least[j], j), masks[j])
-        points.append(
-            CheegerPoint(
-                j=j,
-                u=Fraction(j, g.n),
-                value=running[0],
-                witness=frozenset(_mask_tuple(running[1])),
-            )
-        )
+        if j == 1 or least[j] * den < num * j:  # a new running minimum num/den
+            num, den = least[j], j
+            value, witness = Fraction(num, den), frozenset(_mask_tuple(masks[j]))
+        points.append(CheegerPoint(j=j, u=Fraction(j, g.n), value=value, witness=witness))
     return CheegerProfile(n=g.n, points=tuple(points))
 
 
@@ -323,7 +376,8 @@ def b_u(
     packing would, so the search tree is the one the packing alone gives.
 
     The incumbent starts as the greedy separator, or as `seed` when that is
-    strictly smaller.  A seed must be a valid separator (ValueError
+    strictly smaller (with a target, as `seed` whenever one is given; see
+    below).  A seed must be a valid separator (ValueError
     otherwise); the empty seed means none.  A separator for a smaller u
     stays valid for a larger one, so a vertex cover (u = 1/n) can seed the
     search at any u.  When the step or time budget runs out,
@@ -335,10 +389,12 @@ def b_u(
     runs on to the optimum as usual.  If it finishes without one, B_u is at
     least `below`: the incumbent is returned with `lower_bound` = `below`,
     and optimal only when its size equals `below`.  With a target, the
-    greedy separator is built only when the seed is empty or smaller than
-    `below`: a greedy separator below the target could only start the
-    search lower, and the search finds every such separator anyway.  With
-    `below` None the search is unchanged.
+    greedy separator is built only when the seed is empty: a smaller
+    greedy separator could only start the search lower, and the search
+    finds every separator below the seed and the target anyway.  With
+    `below` None the search is unchanged.  The step meter is named
+    "separator search u=<u>", so the searches of one report can be told
+    apart.
     """
     u = Fraction(u)
     if not (0 < u <= Fraction(1, 2)):
@@ -358,7 +414,7 @@ def b_u(
     seed_mask = sum(1 << v for v in seed)
     if seed and _violation(adj, full ^ seed_mask, t) is not None:
         raise ValueError(f"seed leaves a component larger than {t}")
-    if seed and below is not None and seed_mask.bit_count() >= below:
+    if seed and below is not None:
         incumbent = seed_mask
     else:
         incumbent = _greedy_separator(adj, g._layers, full, t)
@@ -370,7 +426,7 @@ def b_u(
     rank = [0] * g.n  # branch order: valence descending, then index
     for i, v in enumerate(sorted(range(g.n), key=lambda v: (-g.val(v), v))):
         rank[v] = i
-    tick = budget.meter("separator search").tick
+    tick = budget.meter(f"separator search u={u}").tick
 
     def dfs(mask: int, size: int, kept: int):
         nonlocal incumbent, best

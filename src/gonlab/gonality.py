@@ -20,14 +20,13 @@ cannot, and no search runs.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
 from gonlab.divisor import Divisor
 from gonlab.expansion import SeparatorCertificate, b_u
-from gonlab.graph import Multigraph, genus, is_bipartite
+from gonlab.graph import Multigraph, genus
 from gonlab.reduction import _positive_rank_obstruction, _reduced_divisors, _vertex_order
 
 
@@ -129,51 +128,15 @@ def genus_upper_bound(g: Multigraph) -> int:
 
 def greedy_independent_set(g: Multigraph) -> frozenset[int]:
     """Deterministic min-valence greedy; a lower bound witness for alpha.
-
-    Each round takes the alive vertex with the least multiplicity into the
-    alive set, lowest index first, and drops it and its neighbours.  The
-    inflows only fall, so a heap with lazily discarded stale entries finds
-    each round's vertex in O(log n).
-    """
-    inflow = [g.val(v) for v in range(g.n)]
-    heap = [(d, v) for v, d in enumerate(inflow)]
-    heapq.heapify(heap)
-    alive = [True] * g.n
-    chosen = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if not alive[v] or d != inflow[v]:
-            continue
-        chosen.append(v)
-        dropped = [v, *(w for w, _ in g.neighbors(v) if alive[w])]
-        for w in dropped:
-            alive[w] = False
-        for w in dropped:
-            for x, mult in g.neighbors(w):
-                if alive[x]:
-                    inflow[x] -= mult
-                    heapq.heappush(heap, (inflow[x], x))
-    return frozenset(chosen)
+    Computed once per graph (`Multigraph._greedy_independent`)."""
+    return g._greedy_independent
 
 
 def independence_cap(g: Multigraph) -> int:
-    """An upper bound on alpha(G) from the valences alone, with no search.
-
-    An independent set I of a loopless multigraph has its valences sum to
-    e(I, V - I) <= m, with equality only when V - I is independent too,
-    that is on a bipartite graph.  So alpha is at most the number of
-    smallest valences whose sum fits in m, or in m - 1 on a non-bipartite
-    graph.  On a k-regular graph that is n/2, and below n/2 unless the
-    graph is bipartite.
-    """
-    room = g.m if is_bipartite(g) else g.m - 1
-    count = 0
-    for d in sorted(g.val(v) for v in range(g.n)):
-        room -= d
-        if room < 0:
-            break
-        count += 1
-    return count
+    """An upper bound on alpha(G) from the valences alone, with no search:
+    at most n/2 on a k-regular graph, and below n/2 unless it is bipartite.
+    Computed once per graph (`Multigraph._alpha_cap`)."""
+    return g._alpha_cap
 
 
 def cover_search_pays(g: Multigraph) -> bool:

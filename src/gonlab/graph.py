@@ -8,7 +8,9 @@ and safe to share across worker processes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import heapq
 import re
 from dataclasses import dataclass, field
 
@@ -34,6 +36,12 @@ class Multigraph:
     `_layers[v][i]` the bitmask of those joined to v by more than i
     parallel edges: the multiplicity from v into a set S is the sum of the
     popcounts of layer & S, and a simple graph has one layer, `_masks[v]`.
+
+    Invariants that several stages read (bipartiteness, the greedy
+    independent set, the valence bound on alpha) are cached properties,
+    computed on first use and kept with the instance: like the derived
+    fields, they are not fields, so they stay out of equality, hashing and
+    the repr, and two equal graphs stay equal whichever has filled them.
     """
 
     n: int
@@ -65,18 +73,29 @@ class Multigraph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         layers = tuple(
-            tuple(
+            (mask,)  # all edges single: the commonest case, with no per-edge walk
+            if val[v] == len(a)
+            else tuple(
                 sum(1 << x for x, mult in a if mult > i)
-                for i in range(max((mult for _, mult in a), default=0))
+                for i in range(max(mult for _, mult in a))
             )
-            for a in adj
+            for v, (a, mask) in enumerate(zip(adj, masks))
         )
+        reached = frontier = 1
+        while frontier:
+            new = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                new |= masks[bit.bit_length() - 1]
+            frontier = new & ~reached
+            reached |= frontier
         object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
         object.__setattr__(self, "_val", tuple(val))
         object.__setattr__(self, "_m", sum(val) // 2)
         object.__setattr__(self, "_masks", tuple(masks))
         object.__setattr__(self, "_layers", layers)
-        object.__setattr__(self, "_connected", len(components(self)) == 1)
+        object.__setattr__(self, "_connected", reached == (1 << self.n) - 1)
 
     @classmethod
     def from_edges(cls, n: int, edge_pairs) -> "Multigraph":
@@ -121,6 +140,74 @@ class Multigraph:
 
     def is_connected(self) -> bool:
         return self._connected
+
+    @functools.cached_property
+    def _bipartite(self) -> bool:
+        """Whether the vertices 2-colour with every edge between the colours."""
+        colour = [-1] * self.n
+        for start in range(self.n):
+            if colour[start] >= 0:
+                continue
+            colour[start] = 0
+            stack = [start]
+            while stack:
+                x = stack.pop()
+                for w, _ in self._adj[x]:
+                    if colour[w] < 0:
+                        colour[w] = 1 - colour[x]
+                        stack.append(w)
+                    elif colour[w] == colour[x]:
+                        return False
+        return True
+
+    @functools.cached_property
+    def _greedy_independent(self) -> frozenset[int]:
+        """Deterministic min-valence greedy independent set.
+
+        Each round takes the alive vertex with the least multiplicity into
+        the alive set, lowest index first, and drops it and its neighbours.
+        The inflows only fall, so a heap with lazily discarded stale entries
+        finds each round's vertex in O(log n).
+        """
+        inflow = list(self._val)
+        heap = [(d, v) for v, d in enumerate(inflow)]
+        heapq.heapify(heap)
+        alive = [True] * self.n
+        chosen = []
+        while heap:
+            d, v = heapq.heappop(heap)
+            if not alive[v] or d != inflow[v]:
+                continue
+            chosen.append(v)
+            dropped = [v, *(w for w, _ in self._adj[v] if alive[w])]
+            for w in dropped:
+                alive[w] = False
+            for w in dropped:
+                for x, mult in self._adj[w]:
+                    if alive[x]:
+                        inflow[x] -= mult
+                        heapq.heappush(heap, (inflow[x], x))
+        return frozenset(chosen)
+
+    @functools.cached_property
+    def _alpha_cap(self) -> int:
+        """An upper bound on alpha from the valences alone, with no search.
+
+        An independent set I of a loopless multigraph has its valences sum
+        to e(I, V - I) <= m, with equality only when V - I is independent
+        too, that is on a bipartite graph.  So alpha is at most the number
+        of smallest valences whose sum fits in m, or in m - 1 on a
+        non-bipartite graph.  On a k-regular graph that is n/2, and below
+        n/2 unless the graph is bipartite.
+        """
+        room = self._m if self._bipartite else self._m - 1
+        count = 0
+        for d in sorted(self._val):
+            room -= d
+            if room < 0:
+                break
+            count += 1
+        return count
 
     def canonical_hash(self) -> str:
         """Stable hex digest of the canonical edge list (for experiment records)."""
@@ -282,22 +369,9 @@ def _mask_tuple(mask: int) -> tuple[int, ...]:
 
 
 def is_bipartite(g: Multigraph) -> bool:
-    """Whether the vertices 2-colour with every edge between the colours."""
-    colour = [-1] * g.n
-    for start in range(g.n):
-        if colour[start] >= 0:
-            continue
-        colour[start] = 0
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for w, _ in g.neighbors(x):
-                if colour[w] < 0:
-                    colour[w] = 1 - colour[x]
-                    stack.append(w)
-                elif colour[w] == colour[x]:
-                    return False
-    return True
+    """Whether the vertices 2-colour with every edge between the colours
+    (computed once per graph)."""
+    return g._bipartite
 
 
 def genus(g: Multigraph) -> int:

@@ -40,7 +40,7 @@ certified lambda2 interval, taken as exact rationals, then give a proven
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -165,6 +165,9 @@ class SpectralBound:
     integer bound, the ceiling of the exact lower end (gonality is an
     integer) where the theorem applies (n >= MIN_VERTICES) and the trivial
     1 below that; `value` is the formula at the lambda2 estimate.
+    `fiedler_vector` is the eigenvector that came with the lambda2
+    estimate; the bound report sorts the vertices by it for the sweep cuts
+    that seed its Cheeger scan, so the eigensolver runs once per report.
     """
 
     value: float
@@ -175,6 +178,17 @@ class SpectralBound:
     lambda2_error: float
     d_max: int
     n: int
+    fiedler_vector: tuple[float, ...] = field(repr=False)
+
+    @property
+    def note(self) -> str | None:
+        """Why `ceiling` is the trivial 1 below MIN_VERTICES; None from there on."""
+        if self.n >= MIN_VERTICES:
+            return None
+        return (
+            f"n={self.n} below {MIN_VERTICES}: the spectral bound does not apply, "
+            "its ceiling is the trivial 1"
+        )
 
 
 def spectral_gonality_bound(g: Multigraph) -> SpectralBound:
@@ -203,4 +217,5 @@ def spectral_gonality_bound(g: Multigraph) -> SpectralBound:
         lambda2_error=summary.error_bound,
         d_max=d,
         n=n,
+        fiedler_vector=summary.fiedler_vector,
     )

@@ -2,10 +2,12 @@ import itertools
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import RecordingBudget, cubic_bounds_inputs
@@ -275,7 +277,7 @@ def test_full_report_skips_a_cover_search_that_cannot_pay():
     g = sample_configuration(ConfigModelParams(k=3, n=200, seed=7))
     budget = RecordingBudget()
     report = full_report(g, budget)
-    assert not any(m.what == "separator search" for m in budget.meters)
+    assert not any(m.what.startswith("separator search") for m in budget.meters)
     assert not report.budget_limited
     assert report.upper == report.upper_genus == 101
 
@@ -417,7 +419,9 @@ class SeparatorCapBudget(SearchBudget):
     rows can stop."""
 
     def meter(self, what):
-        return super().meter(what) if what == "separator search" else SearchBudget().meter(what)
+        if what.startswith("separator search"):
+            return super().meter(what)
+        return SearchBudget().meter(what)
 
 
 def test_full_report_notes_stopped_rows_in_ascending_u(pappus):
@@ -439,6 +443,21 @@ def test_full_report_notes_stopped_rows_in_ascending_u(pappus):
             if us:
                 assert report.separator_bound is None
     assert stopped_rows >= 40
+
+
+def test_full_report_solves_one_eigenproblem(pappus, monkeypatch):
+    """The spectral stage's Fiedler vector also gives the scan's sweep
+    cuts, so a report calls the eigensolver once."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(1)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert full_report(pappus).bracket == (6, 9)
+    assert len(calls) == 1
 
 
 def test_full_report_without_upper_bounds():
@@ -467,11 +486,20 @@ CUBIC_16 = Multigraph.from_edges(
     [
         (
             named_graph("pappus"),
-            [("cheeger scan", 5832)] + [("separator search", c) for c in (3, 4066, 2759)],
+            [
+                ("cheeger scan", 5818),
+                ("separator search u=1/18", 3),
+                ("separator search u=1/2", 4056),
+                ("separator search u=4/9", 2750),
+            ],
         ),
         (
             CUBIC_16,
-            [("cheeger scan", 1195)] + [("separator search", c) for c in (548, 672)],
+            [
+                ("cheeger scan", 1097),
+                ("separator search u=1/2", 261),
+                ("separator search u=7/16", 672),
+            ],
         ),
     ],
     ids=["pappus", "cubic16"],
@@ -486,7 +514,28 @@ def test_full_report_work_counts_are_pinned(g, counts):
     settled by n - alpha_cap.  Rows run from u = 1/2 down and search only
     below ceil(h*j); a row whose target a larger u's lower bound already
     reaches opens no meter (Pappus searches rows 9 and 8 and settles 7 to 2,
-    cubic16 searches rows 8 and 7 and settles 6 to 1)."""
+    cubic16 searches rows 8 and 7 and settles 6 to 1).  The scan starts
+    from the sweep cuts of the Fiedler vector, and cubic16's row 8 from a
+    witness boundary below its target; each meter names its row's u."""
     budget = RecordingBudget()
     full_report(g, budget)
     assert [(m.what, m.count) for m in budget.meters] == counts
+
+
+def test_cubic_bounds_work_totals_are_pinned():
+    """Steps per meter over the first 64 seed-1 inputs of the benchmark's
+    cubic-bounds workload, summed by meter name.  A change to a search
+    tree, a seed or a branch order shows here as a work count, next to
+    the benchmark's wall time.  Only rows 8 and 7 (u = 1/2, 7/16) search
+    on these inputs; every other row is settled."""
+    totals = Counter()
+    for g in cubic_bounds_inputs(64):
+        budget = RecordingBudget()
+        full_report(g, budget)
+        for m in budget.meters:
+            totals[m.what] += m.count
+    assert totals == {
+        "cheeger scan": 32185,
+        "separator search u=1/2": 7196,
+        "separator search u=7/16": 5518,
+    }

@@ -144,6 +144,24 @@ def test_spectral_command_solves_one_eigenproblem(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_spectral_command_notes_the_trivial_ceiling_below_three_vertices(tmp_path, capsys):
+    """Below 3 vertices the bound is no theorem: the ceiling is the trivial
+    1 next to a formula value above 1, and a `note` says why.  From 3
+    vertices on there is no `note` key."""
+    double_edge = tmp_path / "double_edge.txt"
+    double_edge.write_text("2 2\n0 1\n0 1\n")
+    for source in ("path:2", str(double_edge)):
+        code, payload = run_json(capsys, "spectral", source)
+        assert code == 0
+        assert payload["gonality_bound"]["ceiling"] == 1
+        assert payload["gonality_bound"]["low"] > 1
+        assert payload["note"] == (
+            "n=2 below 3: the spectral bound does not apply, its ceiling is the trivial 1"
+        )
+    code, payload = run_json(capsys, "spectral", "path:3")
+    assert code == 0 and "note" not in payload
+
+
 def test_spectral_command_disconnected(tmp_path, capsys):
     two_edges = tmp_path / "two_edges.txt"
     two_edges.write_text("4 2\n0 1\n2 3\n")
@@ -485,8 +503,10 @@ def test_random_above_gonality_cap_is_capped_not_stopped(capsys):
 
 
 def test_random_reports_budget_limited_bound_report(capsys):
+    """A 40-step cap stops a search in both samples' reports.  (At 50 the
+    seeded scan and rows of the first sample all finish.)"""
     code, payload = run_json(
-        capsys, "random", "--k", "3", "--n", "10", "--samples", "2", "--seed", "4", "--budget", "50"
+        capsys, "random", "--k", "3", "--n", "10", "--samples", "2", "--seed", "4", "--budget", "40"
     )
     assert code == 2
     assert [r["budget_limited"] for r in payload["records"]] == [True, True]

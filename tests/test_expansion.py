@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from gonlab.expansion import (
     b_u,
     cheeger_profile,
     edge_boundary,
+    sweep_cuts,
 )
 from gonlab.graph import Multigraph, components, named_graph
 from gonlab.randgraph import ConfigModelParams, sample_configuration
@@ -115,6 +117,78 @@ def test_cut_scan_matches_all_subsets_profile(pappus):
     for g in [pappus] + cubic[:8] + [cubic[149]] + multigraphs:
         profile = cheeger_profile(g)
         assert [(p.value, p.witness) for p in profile.points] == brute_cheeger_profile(g), g.edges
+
+
+def _random_connected_subsets(g, rng, count):
+    """`count` connected subsets of 1 to n//2 vertices, each grown from a
+    random vertex by random neighbours."""
+    out = []
+    for _ in range(count):
+        subset = {rng.randrange(g.n)}
+        target = rng.randint(1, g.n // 2)
+        while len(subset) < target:
+            frontier = sorted({w for v in subset for w, _ in g.neighbors(v)} - subset)
+            subset.add(rng.choice(frontier))
+        out.append(frozenset(subset))
+    return out
+
+
+def test_seeded_scan_matches_all_subsets_profile(corpus, pappus):
+    """Seeds only lower the scan's running bounds, never below the least
+    boundary of their size, so a seeded scan keeps every value and witness
+    of the all-subsets oracle.  Seeded with every connected subset of at
+    most 3 vertices plus random connected ones, with random subsets that
+    need not be connected, and with the sweep cuts of a random vector, on
+    the corpus, Pappus and the cubic-bounds inputs of the cut test."""
+    rng = random.Random(22)
+    cubic = cubic_bounds_inputs(150)
+    for g in corpus + [pappus] + cubic[:8] + [cubic[149]]:
+        oracle = brute_cheeger_profile(g)
+        small = [
+            frozenset(c)
+            for size in range(1, min(3, g.n // 2) + 1)
+            for c in itertools.combinations(range(g.n), size)
+            if len(components(g, frozenset(range(g.n)) - frozenset(c))) == 1
+        ]
+        arbitrary = [
+            frozenset(rng.sample(range(g.n), rng.randint(1, g.n // 2))) for _ in range(20)
+        ]
+        vector = [rng.random() for _ in range(g.n)]
+        for seeds in (
+            small + _random_connected_subsets(g, rng, 20),
+            arbitrary,
+            sweep_cuts(g, vector),
+        ):
+            profile = cheeger_profile(g, seeds=seeds)
+            assert [(p.value, p.witness) for p in profile.points] == oracle, g.edges
+
+
+def test_sweep_cuts_are_the_sorted_prefixes():
+    """Ascending, then descending, ties by index, prefixes of at most n/2
+    vertices."""
+    g = named_graph("path:6")
+    vector = [0.0, 0.0, -1.0, 2.0, 1.0, 3.0]  # ascending 2, 0, 1 (a tie), 4, ...
+    assert sweep_cuts(g, vector) == [
+        frozenset({2}),
+        frozenset({0, 2}),
+        frozenset({0, 1, 2}),
+        frozenset({5}),  # descending 5, 3, 4
+        frozenset({3, 5}),
+        frozenset({3, 4, 5}),
+    ]
+    with pytest.raises(ValueError, match="entries"):
+        sweep_cuts(g, vector[:-1])
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [frozenset(), frozenset(range(4)), frozenset({0, 9}), frozenset({-1})],
+    ids=["empty", "too-large", "out-of-range", "negative"],
+)
+def test_cheeger_profile_rejects_invalid_seeds(seed):
+    """A seed is a set of 1 to n//2 vertices of the graph."""
+    with pytest.raises(ValueError, match="seed"):
+        cheeger_profile(named_graph("path:6"), seeds=[seed])
 
 
 def test_regular_half_edge_identity(corpus):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import complete_graph
+from gonlab.bounds import full_report
+from gonlab.gonality import greedy_independent_set, independence_cap
 from gonlab.graph import (
     GraphParseError,
     Multigraph,
@@ -10,6 +12,7 @@ from gonlab.graph import (
     PAPPUS_OUTER_RING,
     components,
     genus,
+    is_bipartite,
     laplacian,
     load_graph,
     named_graph,
@@ -161,3 +164,20 @@ def test_complete_graph_helper():
 def test_edge_list_round_trip(pappus):
     again = load_graph(pappus.to_edge_list_text())
     assert again == pappus
+
+
+def test_cached_invariants_stay_out_of_equality_and_hashing():
+    """The bipartite test, the greedy independent set and the alpha cap are
+    cached on the instance; a graph that has filled them stays equal to,
+    and hashes like, one that has not."""
+    filled, fresh = named_graph("pappus"), named_graph("pappus")
+    full_report(filled)
+    assert {"_bipartite", "_greedy_independent", "_alpha_cap"} <= set(vars(filled))
+    assert not {"_bipartite", "_greedy_independent", "_alpha_cap"} & set(vars(fresh))
+    assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
+    assert len({filled, fresh}) == 1
+    assert (is_bipartite(fresh), greedy_independent_set(fresh), independence_cap(fresh)) == (
+        filled._bipartite,
+        filled._greedy_independent,
+        filled._alpha_cap,
+    )
