@@ -63,14 +63,7 @@ class Divisor:
 
 def fire_vertex(d: Divisor, v: int) -> Divisor:
     """Fire one vertex: it loses val(v) chips, each neighbor w gains eps(w,v)."""
-    g = d.graph
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    chips = list(d.chips)
-    chips[v] -= g.val(v)
-    for w, mult in g.neighbors(v):
-        chips[w] += mult
-    return Divisor(g, tuple(chips))
+    return fire_set(d, (v,))
 
 
 def fire_set(d: Divisor, s) -> Divisor:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
-from gonlab.graph import Multigraph, _mask_tuple, components
+from gonlab.graph import Multigraph, _bfs_layers, _mask_tuple, components
 
 
 @dataclass(frozen=True)
@@ -319,15 +319,7 @@ def _greedy_separator(
     while True:
         target, rest = 0, free
         while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                reach = 0
-                while frontier:
-                    bit = frontier & -frontier
-                    frontier ^= bit
-                    reach |= adj[bit.bit_length() - 1]
-                frontier = reach & rest & ~comp
-                comp |= frontier
+            comp = sum(_bfs_layers(adj, (rest & -rest).bit_length() - 1, rest))
             rest ^= comp
             if comp.bit_count() > target.bit_count():
                 target = comp

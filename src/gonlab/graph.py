@@ -4,6 +4,15 @@ Vertices are dense integer indices ``0..n-1``.  Parallel edges are stored as
 multiplicities; self-loops are rejected (they are invisible to chip-firing
 and would make the burning semantics ambiguous).  Instances are immutable
 and safe to share across worker processes.
+
+Every traversal runs on one bitmask walk, `_bfs_layers`: connectivity,
+components, bipartiteness, the distance layers of deficit repair and of
+the rank tests' vertex order, and the greedy separator's components.  Two
+walks of the separator search, `expansion._packing` and
+`expansion._violation`, keep their own vertex-at-a-time queues, because
+they need the order inside a layer: the branching witness is the first
+t+1 vertices of that queue, `_packing` grows its BFS spanning trees along
+it, and `_violation` stops mid-layer once it holds t+1 vertices.
 """
 
 from __future__ import annotations
@@ -81,21 +90,13 @@ class Multigraph:
             )
             for v, (a, mask) in enumerate(zip(adj, masks))
         )
-        reached = frontier = 1
-        while frontier:
-            new = 0
-            while frontier:
-                bit = frontier & -frontier
-                frontier ^= bit
-                new |= masks[bit.bit_length() - 1]
-            frontier = new & ~reached
-            reached |= frontier
+        full = (1 << self.n) - 1
         object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
         object.__setattr__(self, "_val", tuple(val))
         object.__setattr__(self, "_m", sum(val) // 2)
         object.__setattr__(self, "_masks", tuple(masks))
         object.__setattr__(self, "_layers", layers)
-        object.__setattr__(self, "_connected", reached == (1 << self.n) - 1)
+        object.__setattr__(self, "_connected", sum(_bfs_layers(masks, 0, full)) == full)
 
     @classmethod
     def from_edges(cls, n: int, edge_pairs) -> "Multigraph":
@@ -143,20 +144,19 @@ class Multigraph:
 
     @functools.cached_property
     def _bipartite(self) -> bool:
-        """Whether the vertices 2-colour with every edge between the colours."""
-        colour = [-1] * self.n
-        for start in range(self.n):
-            if colour[start] >= 0:
-                continue
-            colour[start] = 0
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for w, _ in self._adj[x]:
-                    if colour[w] < 0:
-                        colour[w] = 1 - colour[x]
-                        stack.append(w)
-                    elif colour[w] == colour[x]:
+        """Whether the vertices 2-colour with every edge between the colours.
+
+        Every edge joins two vertices of one BFS layer or of adjacent ones.
+        An edge inside a layer closes an odd cycle through the root; with
+        none, colouring the layers alternately is proper.
+        """
+        masks = self._masks
+        rest = (1 << self.n) - 1
+        while rest:
+            for layer in _bfs_layers(masks, (rest & -rest).bit_length() - 1, rest):
+                rest ^= layer
+                for x in _mask_tuple(layer):
+                    if masks[x] & layer:
                         return False
         return True
 
@@ -329,6 +329,29 @@ def laplacian(g: Multigraph):
     return mat
 
 
+def _bfs_layers(masks: tuple[int, ...] | list[int], root: int, free: int) -> list[int]:
+    """Breadth-first layers from `root` through the vertices of `free`, as
+    bitmasks: layer 0 is the root alone, and layer t the vertices of `free`
+    whose shortest path from the root inside `free` has t edges.
+
+    Every traversal of the graph layer runs on this one walk; their OR is
+    the root's component in `free` plus the root.
+    """
+    frontier = 1 << root
+    free &= ~frontier
+    layers = []
+    while frontier:
+        layers.append(frontier)
+        reach = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            reach |= masks[bit.bit_length() - 1]
+        frontier = reach & free
+        free ^= frontier
+    return layers
+
+
 def components(g: Multigraph, excluded: frozenset[int] | set[int] = frozenset()) -> list[frozenset[int]]:
     """Connected components of the subgraph induced on V minus `excluded`.
 
@@ -339,23 +362,13 @@ def components(g: Multigraph, excluded: frozenset[int] | set[int] = frozenset())
     for v in excluded:
         if not (0 <= v < g.n):
             raise ValueError(f"excluded vertex {v} out of range")
-    seen = [False] * g.n
+    rest = (1 << g.n) - 1 - sum(1 << v for v in excluded)
     out: list[frozenset[int]] = []
-    for start in range(g.n):
-        if seen[start] or start in excluded:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for w, _ in g.neighbors(x):
-                if not seen[w] and w not in excluded:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        out.append(frozenset(comp))
-    return out  # already ordered by smallest vertex: starts scan ascending
+    while rest:  # each walk starts at the smallest vertex left
+        comp = sum(_bfs_layers(g._masks, (rest & -rest).bit_length() - 1, rest))
+        rest ^= comp
+        out.append(frozenset(_mask_tuple(comp)))
+    return out
 
 
 def _mask_tuple(mask: int) -> tuple[int, ...]:

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gonlab.bounds import full_report
+from gonlab.bounds import DEFAULT_EXACT_CHEEGER_CAP, full_report
 from gonlab.budget import DEFAULT_BUDGET, SearchBudget
 from gonlab.gonality import GonalityCertificate
 from gonlab.graph import Multigraph
@@ -115,7 +115,7 @@ class ExperimentCaps:
     SearchBudget that `run_experiment` passes to every engine."""
 
     gonality_cap: int = 12
-    cheeger_cap: int = 20
+    cheeger_cap: int = DEFAULT_EXACT_CHEEGER_CAP
 
     def __post_init__(self):
         if self.gonality_cap < 0 or self.cheeger_cap < 0:

@@ -18,24 +18,31 @@ One kernel, `_burn_pass`, runs every burning pass.  It keeps a single
 once it has burnt.  The pass stops as soon as the last vertex burns, and
 `_fire_unburnt` fires the unburnt set from the room the pass leaves.
 
+One loop, `_reduce`, runs every reduction: it burns and fires until v
+holds `need` chips or the form is v-reduced.  `_make_effective_away`
+first repairs any deficits away from v; the rank tests of the gonality
+search start from effective candidates and skip it.  Stopping early is
+sound: every state of the loop is effective away from v and equivalent
+to the input, v (always burnt) only gains chips, and the v-reduced form
+holds the most chips on v of all such states.  So `v_reduce` runs the
+loop to the end, a rank test at v asks for v's first chip, and
+`find_rank_obstruction` stops once vertex 0 is out of debt: the state,
+and so its class, is then effective.
+
 The gonality search needs only the 0-reduced effective divisors with a
 chip on vertex 0: `_reduced_divisors` generates them by burning, and
-`_positive_rank_obstruction` tests them at every other vertex.  Each test
-at v reduces towards v only until v holds its first chip.  That is sound:
-the candidate is effective, so every state of the loop is an effective
-divisor equivalent to it, v (always burnt) only gains chips, and the
-v-reduced form holds the most chips on v of all those states.
+`_positive_rank_obstruction` tests them at every other vertex.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 
 from gonlab.budget import DEFAULT_BUDGET, SearchBudget
 from gonlab.compositions import compositions_colex
 from gonlab.divisor import Divisor
-from gonlab.graph import Multigraph
+from gonlab.graph import Multigraph, _bfs_layers, _mask_tuple
 
 
 @dataclass(frozen=True)
@@ -96,59 +103,52 @@ def _fire_unburnt(adj, chips, room) -> None:
                 chips[x] += times * mult
 
 
-def _bfs_dist(g: Multigraph, v: int) -> list[int]:
-    """Distance from v per vertex; -1 for unreachable."""
-    dist = [-1] * g.n
-    dist[v] = 0
-    queue = deque([v])
-    while queue:
-        x = queue.popleft()
-        for w, _ in g.neighbors(x):
-            if dist[w] < 0:
-                dist[w] = dist[x] + 1
-                queue.append(w)
-    return dist
-
-
-def _make_effective_away(g: Multigraph, chips: list[int], v: int) -> None:
+def _make_effective_away(g: Multigraph, chips: list[int], v: int) -> list[int]:
     """Repair all deficits outside v, in place, pushing them onto v.
 
-    Staged by BFS distance from v, farthest layer first: a deficit at
-    distance t is cleared by firing the radius-(t-1) ball around v enough
-    times (each firing sends every layer-t vertex at least one chip along
-    its edges from layer t-1).  Firing that ball only crosses the
-    (t-1)/t cut, so later stages never disturb layers already repaired.
-    Each layer is visited once and each edge at most twice: O(m) in all.
+    Returns `chips`, at once when there are no deficits.  Otherwise staged
+    by BFS layer from v, farthest first: a deficit at distance t is cleared
+    by firing the radius-(t-1) ball around v enough times (each firing
+    sends every layer-t vertex at least one chip along its edges from layer
+    t-1).  Firing that ball only crosses the (t-1)/t cut, so later stages
+    never disturb layers already repaired.  Each layer is visited once and
+    each edge at most twice: O(m) in all.
     """
-    dist = _bfs_dist(g, v)
-    if min(dist) < 0:
+    if min(chips[:v] + chips[v + 1:], default=0) >= 0:
+        return chips
+    if not g.is_connected():
         raise ValueError("graph must be connected for v-reduction")
-    layers: list[list[int]] = [[] for _ in range(max(dist) + 1)]
-    for w in range(g.n):
-        layers[dist[w]].append(w)
+    layers = _bfs_layers(g._masks, v, (1 << g.n) - 1)
+    adj = g._adj
     for t in range(len(layers) - 1, 0, -1):
-        gain = {}
+        prev = layers[t - 1]
+        gains = []
         times = 0
-        for w in layers[t]:
-            into_prev = sum(mult for x, mult in g.neighbors(w) if dist[x] == t - 1)
-            gain[w] = into_prev
+        for w in _mask_tuple(layers[t]):
+            into_prev = 0
+            for x, mult in adj[w]:
+                if prev >> x & 1:
+                    into_prev += mult
+            gains.append((w, into_prev))
             if chips[w] < 0:
                 times = max(times, (-chips[w] + into_prev - 1) // into_prev)
         if times == 0:
             continue
-        for w in layers[t]:
-            chips[w] += times * gain[w]
-            for x, mult in g.neighbors(w):
-                if dist[x] == t - 1:
+        for w, into_prev in gains:
+            chips[w] += times * into_prev
+            for x, mult in adj[w]:
+                if prev >> x & 1:
                     chips[x] -= times * mult
+    return chips
 
 
-def _reduce_chips(g: Multigraph, chips: list[int], v: int) -> list[int]:
-    """In-place v-reduction of a chip list; assumes a connected graph."""
-    if any(c < 0 for i, c in enumerate(chips) if i != v):
-        _make_effective_away(g, chips, v)
+def _reduce(g: Multigraph, chips: list[int], v: int, need: float = math.inf) -> list[int]:
+    """Burn and fire a chip list effective away from v, in place, until v
+    holds `need` chips or the list is v-reduced; assumes a connected graph.
+    With the default `need` it runs to the v-reduced form.
+    """
     adj = g._adj
-    while (room := _burn_pass(adj, chips, v)) is not None:
+    while chips[v] < need and (room := _burn_pass(adj, chips, v)) is not None:
         _fire_unburnt(adj, chips, room)
     return chips
 
@@ -175,7 +175,7 @@ def v_reduce(d: Divisor, v: int) -> Divisor:
     g = d.graph
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
-    return Divisor(g, tuple(_reduce_chips(g, list(d.chips), v)))
+    return Divisor(g, tuple(_reduce(g, _make_effective_away(g, list(d.chips), v), v)))
 
 
 def _reduced_divisors(g: Multigraph, degree: int, tick=lambda: None):
@@ -215,59 +215,34 @@ def _reduced_divisors(g: Multigraph, degree: int, tick=lambda: None):
 
 
 def _vertex_order(g: Multigraph) -> list[int]:
-    """Vertices other than 0 by decreasing distance from 0, ties by index.
+    """Vertices other than 0 of a connected graph by decreasing distance
+    from 0, ties by index: the BFS layers from 0 in reverse.
 
     Candidates of the gonality search hold their chips near vertex 0, so
     positive-rank failures concentrate far from it and checking the
     farthest vertices first makes refutations cheap.  The result of the
     conjunction does not depend on the order.
     """
-    dist = _bfs_dist(g, 0)
-    return sorted(range(1, g.n), key=lambda w: (-dist[w], w))
+    layers = _bfs_layers(g._masks, 0, (1 << g.n) - 1)
+    return [w for layer in reversed(layers[1:]) for w in _mask_tuple(layer)]
 
 
 def _positive_rank_obstruction(g: Multigraph, chips, order, tick) -> int | None:
     """First vertex of `order` whose reduced form holds no chip, or None.
 
-    `chips` must be a 0-reduced effective divisor with a chip on vertex 0
-    on a connected graph, so vertex 0 passes and `order` (from
-    `_vertex_order`) lists the others.  `tick` is called before each
+    `chips` must be an effective divisor with a chip on vertex 0 on a
+    connected graph, so vertex 0 passes and `order` (from `_vertex_order`)
+    lists the others.  Each test at v stops at v's first chip, which the
+    module docstring shows is sound.  `tick` is called before each
     reduction, so a budget meter can stop a slow test part way.
     """
-    adj = g._adj
     for v in order:
         if chips[v]:
             continue  # v passes: its v-reduced form holds at least chips[v]
         tick()
-        if not _chip_reaches(adj, chips, v):
+        if not _reduce(g, list(chips), v, 1)[v]:
             return v
     return None
-
-
-def _chip_reaches(adj, chips, v) -> bool:
-    """True iff the v-reduced form of the effective `chips` holds a chip on v.
-
-    Runs the reduction towards v only until v holds its first chip, which
-    the module docstring shows is sound.
-    """
-    chips = list(chips)
-    while not chips[v]:
-        room = _burn_pass(adj, chips, v)
-        if room is None:
-            return False
-        _fire_unburnt(adj, chips, room)
-    return True
-
-
-def _positive_rank(g: Multigraph, chips, tick=lambda: None) -> bool:
-    """Reduced-divisor test of rank >= 1 on a connected graph, with each
-    reduction counted by `tick`: the 0-reduced form needs a chip on 0, and
-    its v-reduced forms a chip on v for every other v."""
-    tick()
-    reduced = _reduce_chips(g, list(chips), 0)
-    if reduced[0] < 1:
-        return False
-    return _positive_rank_obstruction(g, reduced, _vertex_order(g), tick) is None
 
 
 def has_positive_rank(d: Divisor) -> bool:
@@ -275,14 +250,17 @@ def has_positive_rank(d: Divisor) -> bool:
 
     Implements the reduced-divisor criterion: d has positive rank iff for
     every vertex v the v-reduced representative has at least one chip at v.
-    Divisors of degree below 1 are never of positive rank; non-effective
-    inputs are handled by their 0-reduced form, which is effective exactly
-    when their class is.
+    Divisors of degree below 1 are never of positive rank.  Reduction
+    towards vertex 0 stops at its first chip: the class is then effective
+    and the tests at the other vertices are sound on any effective divisor.
     """
     g = d.graph
     if not g.is_connected():
         raise ValueError("positive rank test requires a connected graph")
-    return d.degree() >= 1 and _positive_rank(g, d.chips)
+    if d.degree() < 1:
+        return False
+    chips = _reduce(g, _make_effective_away(g, list(d.chips), 0), 0, 1)
+    return chips[0] >= 1 and _positive_rank_obstruction(g, chips, _vertex_order(g), lambda: None) is None
 
 
 def find_rank_obstruction(
@@ -306,9 +284,8 @@ def find_rank_obstruction(
     tick = budget.meter("rank test").tick
     for e in compositions_colex(r, g.n):
         tick()
-        chips = [b - c for b, c in zip(base, e)]
-        reduced = _reduce_chips(g, chips, 0)
-        if any(c < 0 for c in reduced):
+        chips = _make_effective_away(g, [b - c for b, c in zip(base, e)], 0)
+        if _reduce(g, chips, 0, 0)[0] < 0:  # effective once vertex 0 is out of debt
             return Divisor(g, e)
     return None
 

@@ -12,8 +12,10 @@ independence number through a table over all vertex subsets (not branch
 and bound), the greedy independent set by rescanning every alive vertex
 each round (not a heap), the
 algebraic connectivity through exact definiteness tests (not eigensolvers),
-and the spectral bound's ceiling through the squared paper form (not the
-conjugate form `gonlab.spectral` evaluates).
+the spectral bound's ceiling through the squared paper form (not the
+conjugate form `gonlab.spectral` evaluates), and components,
+bipartiteness and BFS distances through union-find, 2-colouring and
+frontier sweeps over the edge list (not the bitmask walk of `gonlab.graph`).
 Only small graphs are in scope; nothing here needs to be fast.
 """
 
@@ -23,7 +25,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from gonlab.graph import Multigraph, components, laplacian
+from gonlab.graph import Multigraph, laplacian
 
 
 def _inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -54,7 +56,7 @@ class LatticeOracle:
     def __init__(self, g: Multigraph):
         lap = laplacian(g).tolist()
         self.parts = []
-        for comp in components(g):
+        for comp in edge_components(g):
             rest = sorted(comp)[1:]
             inverse = _inverse([[Fraction(lap[i][j]) for j in rest] for i in rest])
             q = math.lcm(*(x.denominator for row in inverse for x in row))
@@ -182,7 +184,7 @@ def brute_cheeger_witness(g: Multigraph, j: int) -> frozenset[int]:
     for size in range(1, j + 1):
         best = None
         for subset in itertools.combinations(range(g.n), size):  # lexicographic
-            if len(components(g, set(range(g.n)) - set(subset))) != 1:
+            if len(edge_components(g, set(range(g.n)) - set(subset))) != 1:
                 continue
             boundary = brute_boundary(g, subset)
             if best is None or boundary < best[0]:
@@ -225,7 +227,7 @@ def brute_b_u(g: Multigraph, t: int) -> int:
     """Minimum removal set leaving components of size <= t, by increasing size."""
     for size in range(g.n + 1):
         for subset in itertools.combinations(range(g.n), size):
-            comps = components(g, frozenset(subset))
+            comps = edge_components(g, frozenset(subset))
             if all(len(c) <= t for c in comps):
                 return size
     raise AssertionError("unreachable")
@@ -324,3 +326,59 @@ def spectral_ceiling_is(lam: Fraction, d: int, n: int, c: int) -> bool:
         return 9 * a <= (b + 2 * lam * Fraction(t, n)) ** 2
 
     return at_most(c) and not at_most(c - 1)
+
+
+def edge_components(g: Multigraph, excluded=frozenset()) -> list[frozenset[int]]:
+    """Components of G minus `excluded` by union-find over the edge list,
+    ordered by smallest vertex."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v, _ in g.edges:
+        if u not in excluded and v not in excluded:
+            parent[find(u)] = find(v)
+    groups: dict[int, set[int]] = {}
+    for v in range(g.n):
+        if v not in excluded:
+            groups.setdefault(find(v), set()).add(v)
+    return sorted((frozenset(c) for c in groups.values()), key=min)
+
+
+def edge_bipartite(g: Multigraph) -> bool:
+    """2-colour each component from its smallest vertex, sweeping the edge
+    list until no colour changes, then look for an edge inside a colour."""
+    colour: dict[int, int] = {}
+    for comp in edge_components(g):
+        colour[min(comp)] = 0
+        changed = True
+        while changed:
+            changed = False
+            for u, v, _ in g.edges:
+                for a, b in ((u, v), (v, u)):
+                    if a in colour and b not in colour:
+                        colour[b] = 1 - colour[a]
+                        changed = True
+    return all(colour[u] != colour[v] for u, v, _ in g.edges)
+
+
+def edge_distances(g: Multigraph, root: int) -> list[int | None]:
+    """Edge count of a shortest path from `root` per vertex, None where
+    unreachable: each sweep of the edge list reaches one layer further."""
+    dist: list[int | None] = [None] * g.n
+    dist[root] = 0
+    frontier, t = {root}, 0
+    while frontier:
+        t += 1
+        reached = set()
+        for u, v, _ in g.edges:
+            for a, b in ((u, v), (v, u)):
+                if a in frontier and dist[b] is None:
+                    dist[b] = t
+                    reached.add(b)
+        frontier = reached
+    return dist

@@ -83,12 +83,14 @@ def test_usage_errors_exit_one_not_the_budget_code(argv, message, capsys):
 
 
 def test_cap_defaults_come_from_the_library():
+    """`bounds` and `random` share one Cheeger-cap default, the library's."""
     parser = build_parser()
     bounds = parser.parse_args(["bounds", "pappus"])
     assert bounds.cheeger_cap == DEFAULT_EXACT_CHEEGER_CAP
     random_ = parser.parse_args(["random", "--k", "3", "--n", "8", "--samples", "1"])
     caps = ExperimentCaps()
     assert (random_.gonality_cap, random_.cheeger_cap) == (caps.gonality_cap, caps.cheeger_cap)
+    assert random_.cheeger_cap == bounds.cheeger_cap == DEFAULT_EXACT_CHEEGER_CAP
 
 
 @pytest.mark.parametrize(
@@ -106,7 +108,7 @@ def test_separators_have_no_size_cap_of_their_own(argv, capsys):
 
 def test_random_runs_separators_up_to_the_cheeger_cap(capsys):
     """At n=18, between the harness's old separator cap (16) and its Cheeger
-    cap (20), every connected record carries a certified separator bound."""
+    cap (24), every connected record carries a certified separator bound."""
     code, payload = run_json(capsys, "random", "--k", "3", "--n", "18", "--samples", "5", "--seed", "7")
     assert code == 0
     connected = [r for r in payload["records"] if r["connected"]]

@@ -2,7 +2,10 @@
 
 The bound report, demo and harness fixtures pin the folded bounds; the
 `cheeger` and `bu` fixtures pin the Cheeger witnesses and the separator
-sets, which depend on the engines' tie-break rules.  A budget-stopped `bu`
+sets, which depend on the engines' tie-break rules.  The `rank`, `reduce`
+and `gonality` fixtures pin the chip-firing kernels: the witnesses of a
+failed rank test, a v-reduced form reached through deficit repair over
+several distance layers, and a search's colex-least witness.  A budget-stopped `bu`
 fixture pins the incumbent at the stop, which depends on the search order.
 
 A change that alters any of these outputs on purpose regenerates the
@@ -24,9 +27,14 @@ GOLDEN = {
     "bu_pappus_u5_18.json": ("bu", "pappus", "--u", "5/18"),
     "bu_pappus_u9_18.json": ("bu", "pappus", "--u", "9/18"),
     "cheeger_pappus.json": ("cheeger", "pappus"),
+    "gonality_cycle80.json": ("gonality", "cycle:80"),
     "pappus_demo.json": ("pappus-demo",),
     "random_k3_n12_s20_seed5.json": ("random", "--k", "3", "--n", "12", "--samples", "20", "--seed", "5"),
     "random_k3_n40_s2_seed42.json": ("random", "--k", "3", "--n", "40", "--samples", "2", "--seed", "42"),
+    "rank_cycle30_at2.json": ("rank", "cycle:30", "0:2", "--at-least", "2"),
+    "rank_k4_at2.json": ("rank", "k4", "0:1,1:1,2:1", "--at-least", "2"),
+    "rank_path120_at1.json": ("rank", "path:120", "0:1", "--at-least", "1"),
+    "reduce_pappus_at9.json": ("reduce", "pappus", "0:-3,5:4,17:2", "--at", "9"),
     "spectral_pappus.json": ("spectral", "pappus"),
 }
 

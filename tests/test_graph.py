@@ -17,6 +17,8 @@ from gonlab.graph import (
     load_graph,
     named_graph,
 )
+from gonlab.reduction import _vertex_order
+from oracles import edge_bipartite, edge_components, edge_distances
 
 
 def test_load_single_edge():
@@ -141,7 +143,7 @@ def test_bitmask_tables_and_connectivity_match_the_edges(corpus, pappus):
             assert g._masks[v] == sum(1 << w for w, _ in g.neighbors(v))
             for w in range(g.n):
                 assert sum(layer >> w & 1 for layer in g._layers[v]) == g.eps(v, w)
-        assert g.is_connected() == (len(components(g)) == 1)
+        assert g.is_connected() == (len(edge_components(g)) == 1)
     assert not split.is_connected()
     assert split._layers[0] == (0b10, 0b10)
 
@@ -181,3 +183,33 @@ def test_cached_invariants_stay_out_of_equality_and_hashing():
         filled._greedy_independent,
         filled._alpha_cap,
     )
+
+
+def test_graph_walk_matches_the_edge_list_oracle(corpus, pappus):
+    """Components (with and without exclusions), connectivity,
+    bipartiteness and the rank tests' vertex order, all from the one
+    bitmask walk, against union-find, 2-colouring and distance sweeps over
+    the edge list."""
+    odd_parts = Multigraph.from_edges(
+        10, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (4, 5), (5, 6), (6, 4), (7, 8)]
+    )  # a 4-cycle and a triangle, each with a double edge, an edge and vertex 9 alone
+    even_parts = Multigraph.from_edges(5, [(0, 1), (0, 1), (2, 3), (3, 4)])
+    named = [named_graph(name) for name in ("path:200", "cycle:200", "cycle:201")]
+    graphs = corpus + [pappus, odd_parts, even_parts] + named
+    rng = np.random.default_rng(23)
+    for g in graphs:
+        comps = edge_components(g)
+        assert components(g) == comps
+        assert g.is_connected() == (len(comps) == 1)
+        assert is_bipartite(g) == edge_bipartite(g)
+        for excluded in (
+            frozenset(v for v in range(g.n) if v % 3 == 0),
+            frozenset(int(v) for v in np.flatnonzero(rng.random(g.n) < 0.3)),
+        ):
+            assert components(g, excluded) == edge_components(g, excluded)
+        if g.is_connected():
+            dist = edge_distances(g, 0)
+            assert _vertex_order(g) == sorted(range(1, g.n), key=lambda w: (-dist[w], w))
+    assert [is_bipartite(g) for g in named] == [True, True, False]
+    assert not is_bipartite(odd_parts) and is_bipartite(even_parts)
+    assert [len(c) for c in components(odd_parts)] == [4, 3, 2, 1]
