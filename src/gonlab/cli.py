@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -26,7 +25,7 @@ from gonlab.gonality import GonalityCertificate, exact_gonality
 from gonlab.graph import GraphParseError, Multigraph, load_graph, named_graph
 from gonlab.randgraph import ConfigModelParams, ExperimentCaps, run_experiment, sample_configuration
 from gonlab.reduction import find_rank_obstruction, has_positive_rank, v_reduce
-from gonlab.spectral import algebraic_connectivity, spectral_gonality_bound
+from gonlab.spectral import SpectralBound, algebraic_connectivity, spectral_gonality_bound
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -67,10 +66,12 @@ def emit(payload, fmt: str) -> None:
     payload = _jsonable(payload)
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    elif fmt == "tsv":
-        _emit_tsv(payload)
-    else:
-        _emit_human(payload)
+        return
+    joiner, layout = (",", "{}\t{}") if fmt == "tsv" else (", ", "{:40s} {}")
+    for key, value in _flatten(payload):
+        if isinstance(value, list):
+            value = joiner.join(_text(v) for v in value)
+        print(layout.format(key, _text(value)))
 
 
 def _flatten(payload, prefix=""):
@@ -92,33 +93,8 @@ def _text(value) -> str:
     return json.dumps(value) if value is None or isinstance(value, bool) else str(value)
 
 
-def _emit_tsv(payload: dict) -> None:
-    for key, value in _flatten(payload):
-        if isinstance(value, list):
-            value = ",".join(_text(v) for v in value)
-        print(f"{key}\t{_text(value)}")
-
-
-def _emit_human(payload: dict) -> None:
-    for key, value in _flatten(payload):
-        if isinstance(value, list):
-            value = ", ".join(_text(v) for v in value)
-        print(f"{key:40s} {_text(value)}")
-
-
-def _setting(flag, env: str, parse, default=None):
-    """The flag if given, else the environment variable if non-empty, else
-    the default.  Zero is a value like any other, not "unset"."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(env)
-    return parse(raw) if raw else default
-
-
 def build_budget(args) -> SearchBudget:
-    steps = _setting(args.budget, "GONLAB_BUDGET_STEPS", int, DEFAULT_BUDGET.max_steps)
-    seconds = _setting(args.budget_seconds, "GONLAB_BUDGET_SECONDS", float)
-    return SearchBudget.with_seconds(seconds, max_steps=steps)
+    return SearchBudget.with_seconds(args.budget_seconds, max_steps=args.budget)
 
 
 def _profile_payload(profile) -> dict:
@@ -150,34 +126,18 @@ def cmd_bu(args) -> int:
     return EXIT_OK if cert.optimal else EXIT_BUDGET
 
 
+def _bound_payload(bound: SpectralBound) -> dict:
+    return {"value": bound.value, "low": bound.low, "high": bound.high, "ceiling": bound.ceiling}
+
+
 def cmd_spectral(args) -> int:
     g = resolve_graph(args.graph)
-    if g.is_connected():
-        bound = spectral_gonality_bound(g)
-        payload = {
-            "n": bound.n,
-            "d_max": bound.d_max,
-            "lambda2": bound.lambda2,
-            "error_bound": bound.lambda2_error,
-            "connected": True,
-            "gonality_bound": {
-                "value": bound.value,
-                "low": bound.low,
-                "high": bound.high,
-                "ceiling": bound.ceiling,
-            },
-        }
-        if bound.note is not None:
-            payload["note"] = bound.note
-    else:
-        summary = algebraic_connectivity(g)
-        payload = {
-            "n": summary.n,
-            "d_max": summary.d_max,
-            "lambda2": summary.lambda2,
-            "error_bound": summary.error_bound,
-            "connected": False,
-        }
+    result = spectral_gonality_bound(g) if g.is_connected() else algebraic_connectivity(g)
+    payload = {key: getattr(result, key) for key in ("n", "d_max", "lambda2", "error_bound", "connected")}
+    if isinstance(result, SpectralBound):
+        payload["gonality_bound"] = _bound_payload(result)
+        if result.note is not None:
+            payload["note"] = result.note
     emit(payload, args.format)
     return EXIT_OK
 
@@ -247,13 +207,7 @@ def _report_payload(report: BoundReport) -> dict:
         "cheeger_bound": _grid_bound_payload(report.cheeger_bound),
         "spectral": None
         if report.spectral is None
-        else {
-            "lambda2": report.spectral.lambda2,
-            "value": report.spectral.value,
-            "low": report.spectral.low,
-            "high": report.spectral.high,
-            "ceiling": report.spectral.ceiling,
-        },
+        else {"lambda2": report.spectral.lambda2, **_bound_payload(report.spectral)},
         "upper_genus": report.upper_genus,
         "upper_independence": report.upper_independence,
         "lower": report.lower,
@@ -273,9 +227,8 @@ def cmd_bounds(args) -> int:
 def cmd_random(args) -> int:
     params = ConfigModelParams(k=args.k, n=args.n, seed=args.seed, mode=args.mode)
     caps = ExperimentCaps(gonality_cap=args.gonality_cap, cheeger_cap=args.cheeger_cap)
-    threads = _setting(args.threads, "GONLAB_THREADS", int, 1)
     records, summary = run_experiment(
-        params, args.samples, caps, threads=threads, budget=build_budget(args)
+        params, args.samples, caps, threads=args.threads, budget=build_budget(args)
     )
     if args.emit_graphs:
         outdir = Path(args.emit_graphs)
@@ -327,7 +280,9 @@ def _add_common(parser: argparse.ArgumentParser, graph: bool = True, budget: boo
         parser.add_argument("graph", help="named graph (pappus, k4, cycle:<n>, path:<n>) or edge-list file")
     parser.add_argument("--format", choices=("human", "json", "tsv"), default="human")
     if budget:
-        parser.add_argument("--budget", type=int, default=None, help="step cap of each search")
+        parser.add_argument(
+            "--budget", type=int, default=DEFAULT_BUDGET.max_steps, help="step cap of each search"
+        )
         parser.add_argument("--budget-seconds", type=float, default=None, help="wall clock cap")
 
 
@@ -390,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     caps = ExperimentCaps()
     p.add_argument("--gonality-cap", type=int, default=caps.gonality_cap)
     p.add_argument("--cheeger-cap", type=int, default=caps.cheeger_cap)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--emit-graphs", default=None, help="write each sample as an edge list into this directory")
     p.set_defaults(func=cmd_random)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
-from gonlab.graph import Multigraph, _bfs_layers, _mask_tuple, components
+from gonlab.graph import Multigraph, _component_masks, _mask_tuple
 
 
 @dataclass(frozen=True)
@@ -205,17 +205,18 @@ def sweep_cuts(g: Multigraph, vector) -> list[frozenset[int]]:
 def cheeger_profile(
     g: Multigraph, budget: SearchBudget = DEFAULT_BUDGET, *, seeds=()
 ) -> CheegerProfile:
-    """Exact h_u over the full grid {j/n : 1 <= j <= n//2}, at any n.
+    """Exact h_u over the full grid {j/n : 1 <= j <= n//2}.
 
     The connected-subset scan has no size cap; it raises
-    BudgetExceededError when the step or time budget runs out, since a
-    partial scan bounds nothing.  `seeds`, vertex sets of 1 to n//2
-    vertices each (ValueError otherwise), start the scan from their
-    boundaries: they can shrink its tree, never change the profile or its
-    witnesses.  The bound report seeds it with the `sweep_cuts` of the
-    Fiedler vector.  Ratios are compared by integer cross-multiplication,
-    and each point's value and witness are built once per new running
-    minimum.
+    BudgetExceededError when the step or time budget runs out, or when its
+    recursion, one level per subset size, reaches the interpreter's
+    recursion limit (near n = 2000 by default), since a partial scan
+    bounds nothing.  `seeds`, vertex sets of 1 to n//2 vertices each
+    (ValueError otherwise), start the scan from their boundaries: they can
+    shrink its tree, never change the profile or its witnesses.  The bound
+    report seeds it with the `sweep_cuts` of the Fiedler vector.  Ratios
+    are compared by integer cross-multiplication, and each point's value
+    and witness are built once per new running minimum.
     """
     if not g.is_connected():
         raise ValueError("cheeger profile requires a connected graph")
@@ -228,7 +229,10 @@ def cheeger_profile(
             raise ValueError(f"a seed must be a set of 1 to {half} of the {g.n} vertices")
         seed_masks.append(sum(1 << v for v in seed))
     # exact wherever the running minimum improves, size 1 included
-    least, masks = _scan_connected_subsets(g, half, budget, seed_masks)
+    try:
+        least, masks = _scan_connected_subsets(g, half, budget, seed_masks)
+    except RecursionError:
+        raise BudgetExceededError(f"cheeger scan reached the recursion limit at n={g.n}") from None
     points = []
     for j in range(1, half + 1):
         if j == 1 or least[j] * den < num * j:  # a new running minimum num/den
@@ -317,12 +321,8 @@ def _greedy_separator(
     lowest index first."""
     removed = 0
     while True:
-        target, rest = 0, free
-        while rest:
-            comp = sum(_bfs_layers(adj, (rest & -rest).bit_length() - 1, rest))
-            rest ^= comp
-            if comp.bit_count() > target.bit_count():
-                target = comp
+        # `max` keeps the first of equal sizes, the one holding the smallest vertex
+        target = max(_component_masks(adj, free), key=int.bit_count, default=0)
         if target.bit_count() <= t:
             return removed
         pick, most = 0, -1
@@ -372,9 +372,10 @@ def b_u(
     below).  A seed must be a valid separator (ValueError
     otherwise); the empty seed means none.  A separator for a smaller u
     stays valid for a larger one, so a vertex cover (u = 1/n) can seed the
-    search at any u.  When the step or time budget runs out,
-    the incumbent is returned with optimal=False and the root packing bound
-    as `lower_bound`.
+    search at any u.  When the step or time budget runs out, or the
+    recursion, one level per removed vertex, reaches the interpreter's
+    recursion limit, the incumbent is returned with optimal=False and the
+    root packing bound as `lower_bound`.
 
     `below` sets a target: the search looks only for separators smaller
     than `below`, as if the incumbent had that size.  If it finds one, it
@@ -448,13 +449,13 @@ def b_u(
         dfs(0, 0, 0)
         lower_bound = best  # the optimum, or `below` when no separator lies below it
         optimal = lower_bound == incumbent.bit_count()
-    except BudgetExceededError:
+    except (BudgetExceededError, RecursionError):
         root_lb = _packing(adj, full, t, g.n + 1, parent, subtree)[0]  # room above any count
         lower_bound = min(root_lb, incumbent.bit_count())
         optimal = False
 
     separator = frozenset(_mask_tuple(incumbent))
-    sizes = tuple(sorted((len(c) for c in components(g, separator)), reverse=True))
+    sizes = tuple(sorted(map(int.bit_count, _component_masks(adj, full ^ incumbent)), reverse=True))
     assert all(s <= t for s in sizes)
     return SeparatorCertificate(
         u=u,

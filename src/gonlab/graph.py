@@ -6,13 +6,15 @@ and would make the burning semantics ambiguous).  Instances are immutable
 and safe to share across worker processes.
 
 Every traversal runs on one bitmask walk, `_bfs_layers`: connectivity,
-components, bipartiteness, the distance layers of deficit repair and of
-the rank tests' vertex order, and the greedy separator's components.  Two
-walks of the separator search, `expansion._packing` and
-`expansion._violation`, keep their own vertex-at-a-time queues, because
-they need the order inside a layer: the branching witness is the first
-t+1 vertices of that queue, `_packing` grows its BFS spanning trees along
-it, and `_violation` stops mid-layer once it holds t+1 vertices.
+bipartiteness, the distance layers of deficit repair and of the rank
+tests' vertex order, and the component walk `_component_masks`, which
+gives `components`, the greedy separator's components and the component
+sizes of a separator certificate.  Two walks of the separator search,
+`expansion._packing` and `expansion._violation`, keep their own
+vertex-at-a-time queues, because they need the order inside a layer: the
+branching witness is the first t+1 vertices of that queue, `_packing`
+grows its BFS spanning trees along it, and `_violation` stops mid-layer
+once it holds t+1 vertices.
 """
 
 from __future__ import annotations
@@ -363,12 +365,16 @@ def components(g: Multigraph, excluded: frozenset[int] | set[int] = frozenset())
         if not (0 <= v < g.n):
             raise ValueError(f"excluded vertex {v} out of range")
     rest = (1 << g.n) - 1 - sum(1 << v for v in excluded)
-    out: list[frozenset[int]] = []
-    while rest:  # each walk starts at the smallest vertex left
-        comp = sum(_bfs_layers(g._masks, (rest & -rest).bit_length() - 1, rest))
-        rest ^= comp
-        out.append(frozenset(_mask_tuple(comp)))
-    return out
+    return [frozenset(_mask_tuple(comp)) for comp in _component_masks(g._masks, rest)]
+
+
+def _component_masks(masks: tuple[int, ...] | list[int], free: int):
+    """Bitmasks of the components induced on the vertices of `free`, in
+    order of their smallest vertex, where each walk starts."""
+    while free:
+        comp = sum(_bfs_layers(masks, (free & -free).bit_length() - 1, free))
+        free ^= comp
+        yield comp
 
 
 def _mask_tuple(mask: int) -> tuple[int, ...]:

@@ -200,7 +200,7 @@ def _evaluate_sample(
     return ExperimentRecord(
         **sample,
         lambda2=report.spectral.lambda2,
-        lambda2_error=report.spectral.lambda2_error,
+        lambda2_error=report.spectral.error_bound,
         spectral_value=report.spectral.value,
         spectral_ceiling=report.spectral.ceiling,
         h=report.rows[-1].h_u if report.rows else None,

@@ -35,6 +35,9 @@ so a float evaluation loses its leading digits for small lambda2.
 lambda2, in rationals with an integer square-root bracket; the ends of the
 certified lambda2 interval, taken as exact rationals, then give a proven
 `ceiling`, on graphs of at least MIN_VERTICES vertices.
+
+One result type: the `SpectralBound` of `spectral_gonality_bound` is the
+`SpectralSummary` of `algebraic_connectivity` extended by the bound.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class SpectralSummary:
     lambda2: float
     error_bound: float
     connected: bool
-    fiedler_vector: tuple[float, ...]
+    fiedler_vector: tuple[float, ...] = field(repr=False)
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -157,28 +160,23 @@ def gonality_bound_bracket(lam: Fraction, d: int, n: int) -> tuple[Fraction, Fra
 
 
 @dataclass(frozen=True)
-class SpectralBound:
-    """Spectral gonality lower bound with interval certification.
+class SpectralBound(SpectralSummary):
+    """The lambda2 summary extended by the certified spectral gonality bound.
 
     `low`/`high` are floats rounded outward from the exact bracket of the
     formula over the lambda2 error interval; `ceiling` is the certified
     integer bound, the ceiling of the exact lower end (gonality is an
     integer) where the theorem applies (n >= MIN_VERTICES) and the trivial
-    1 below that; `value` is the formula at the lambda2 estimate.
-    `fiedler_vector` is the eigenvector that came with the lambda2
-    estimate; the bound report sorts the vertices by it for the sweep cuts
-    that seed its Cheeger scan, so the eigensolver runs once per report.
+    1 below that; `value` is the formula at the lambda2 estimate.  The
+    bound report sorts the vertices by the inherited `fiedler_vector` for
+    the sweep cuts that seed its Cheeger scan, so the eigensolver runs once
+    per report.
     """
 
     value: float
     low: float
     high: float
     ceiling: int
-    lambda2: float
-    lambda2_error: float
-    d_max: int
-    n: int
-    fiedler_vector: tuple[float, ...] = field(repr=False)
 
     @property
     def note(self) -> str | None:
@@ -209,13 +207,9 @@ def spectral_gonality_bound(g: Multigraph) -> SpectralBound:
     lower, _ = gonality_bound_bracket(max(lam - err, Fraction(0)), d, n)
     _, upper = gonality_bound_bracket(lam + err, d, n)
     return SpectralBound(
+        **vars(summary),
         value=float(gonality_bound_bracket(lam, d, n)[0]),
         low=-_round_up(-lower),
         high=_round_up(upper),
         ceiling=math.ceil(lower) if n >= MIN_VERTICES else 1,
-        lambda2=summary.lambda2,
-        lambda2_error=summary.error_bound,
-        d_max=d,
-        n=n,
-        fiedler_vector=summary.fiedler_vector,
     )

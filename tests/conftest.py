@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import random
 import sys
 from dataclasses import dataclass, field
@@ -13,6 +14,15 @@ from gonlab.graph import Multigraph, named_graph
 from gonlab.randgraph import ConfigModelParams, sample_configuration
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(scope="session")
+def cli_env() -> dict[str, str]:
+    """The environment for a `python -m gonlab` subprocess: this checkout's
+    `src` first on PYTHONPATH, as pytest's `pythonpath` puts it on sys.path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @dataclass(frozen=True)

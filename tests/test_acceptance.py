@@ -44,7 +44,7 @@ TABLE_GOLDEN = {
 }
 
 
-def test_criterion_1_pappus_cheeger_table(pappus):
+def test_criterion_1_pappus_cheeger_table(pappus, cli_env):
     """The u-Cheeger grid of the Pappus graph, exact rationals, zero tolerance."""
     profile = cheeger_profile(pappus)
     got = {p.j: p.value for p in profile.points}
@@ -54,6 +54,7 @@ def test_criterion_1_pappus_cheeger_table(pappus):
         [sys.executable, "-m", "gonlab.cli", "cheeger", "pappus", "--format", "json"],
         capture_output=True,
         text=True,
+        env=cli_env,
     )
     assert out.returncode == 0
     payload = json.loads(out.stdout)
@@ -206,7 +207,7 @@ def test_criterion_8_cheeger_inequalities():
     print(f"ACCEPTANCE 8: PASS cheeger inequalities on {checked} regular samples")
 
 
-def test_criterion_9_cli_determinism():
+def test_criterion_9_cli_determinism(cli_env):
     cmd = [
         sys.executable,
         "-m",
@@ -221,9 +222,9 @@ def test_criterion_9_cli_determinism():
         "--seed",
         "42",
     ]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
-    threaded = subprocess.run(cmd + ["--threads", "2"], capture_output=True, text=True)
+    first = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
+    second = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
+    threaded = subprocess.run(cmd + ["--threads", "2"], capture_output=True, text=True, env=cli_env)
     assert first.returncode == second.returncode == threaded.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout == threaded.stdout

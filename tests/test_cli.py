@@ -1,14 +1,11 @@
+import inspect
 import json
-import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gonlab import randgraph
 from gonlab.bounds import DEFAULT_EXACT_CHEEGER_CAP
 from gonlab.cli import build_parser, main
 from gonlab.randgraph import ConfigModelParams, ExperimentCaps, sample_configuration
@@ -50,6 +47,42 @@ def test_cheeger_stopped_by_budget_exits_two(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "budget exhausted" in captured.err
+
+
+def _main_near_recursion_limit(argv, headroom=100):
+    """`main(argv)` with the recursion limit `headroom` frames above the
+    current depth, so that a search some hundreds of levels deep reaches it."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + headroom)
+    try:
+        return main(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_cheeger_at_the_recursion_limit_stops_like_a_budget(capsys):
+    """The scan recurses once per subset size; a partial scan bounds
+    nothing, so it prints nothing and exits 2 with one stderr line."""
+    assert _main_near_recursion_limit(["cheeger", "cycle:400", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exhausted: cheeger scan reached the recursion limit at n=400\n"
+
+
+def test_bu_at_the_recursion_limit_keeps_its_incumbent(tmp_path, capsys):
+    """The separator search recurses once per removed vertex; at the limit
+    it returns its incumbent with the root packing bound, as at a step cap."""
+    g = sample_configuration(ConfigModelParams(k=4, n=300, seed=7), 0)
+    path = tmp_path / "quartic300.txt"
+    path.write_text(g.to_edge_list_text())
+    argv = ["bu", str(path), "--u", "1/300", "--format", "json"]
+    assert _main_near_recursion_limit(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    cert = json.loads(captured.out)
+    assert cert["optimal"] is False
+    assert cert["lower_bound"] <= cert["size"] == len(cert["separator"])
+    assert cert["component_sizes"] == [1] * (300 - cert["size"])
 
 
 def test_cheeger_has_no_size_cap_flag(capsys):
@@ -342,14 +375,11 @@ def test_text_formats_spell_scalars_like_json(capsys):
     [(("spectral", "pappus"), 0), (("gonality", "cycle:8", "--budget", "0"), 2)],
     ids=["spectral", "stopped-gonality"],
 )
-def test_python_dash_m_runs_the_cli(argv, code, capsys):
+def test_python_dash_m_runs_the_cli(argv, code, capsys, cli_env):
     """`python -m gonlab` prints what `main` prints and passes its exit code on."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "gonlab", *argv, "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=cli_env, timeout=120,
     )
     assert (proc.returncode, proc.stdout) == run_cli(capsys, *argv, "--format", "json")
     assert proc.returncode == code
@@ -375,46 +405,19 @@ def test_pappus_demo_stopped_search_keeps_report_lower_bound(capsys):
     assert payload["gonality"]["upper"] == payload["bracket"]["upper"]
 
 
-def test_threads_env_applies(capsys, monkeypatch):
-    """GONLAB_THREADS=2 gives `random` one two-worker sample pool and the
-    records of a serial run."""
-    pools = []
-
-    class CountingPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(randgraph, "ProcessPoolExecutor", CountingPool)
-    argv = ("random", "--k", "3", "--n", "8", "--samples", "4", "--seed", "7")
-    code, serial = run_json(capsys, *argv, "--threads", "1")
-    assert code == 0 and pools == []
-    monkeypatch.setenv("GONLAB_THREADS", "2")
-    code, threaded = run_json(capsys, *argv)
-    assert code == 0 and pools == [2]
-    assert threaded["records"] == serial["records"]
-
-
-@pytest.mark.parametrize(
-    "flag, env", [("0", None), ("-2", None), (None, "-1")], ids=["flag-zero", "flag-negative", "env"]
-)
-def test_threads_below_one_is_an_input_error(capsys, monkeypatch, flag, env):
-    if env:
-        monkeypatch.setenv("GONLAB_THREADS", env)
-    argv = ["random", "--k", "3", "--n", "8", "--samples", "2", *(("--threads", flag) if flag else ())]
+@pytest.mark.parametrize("flag", ["0", "-2"], ids=["flag-zero", "flag-negative"])
+def test_threads_below_one_is_an_input_error(capsys, flag):
+    argv = ["random", "--k", "3", "--n", "8", "--samples", "2", "--threads", flag]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "thread count must be at least 1" in captured.err
 
 
-@pytest.mark.parametrize("flag, env", [("nan", None), (None, "nan")], ids=["flag", "env"])
-def test_nan_budget_seconds_is_an_input_error(capsys, monkeypatch, flag, env):
+@pytest.mark.parametrize("flag", ["nan"], ids=["flag"])
+def test_nan_budget_seconds_is_an_input_error(capsys, flag):
     """No clock reading passes a NaN deadline, so it would mean "unlimited"."""
-    if env:
-        monkeypatch.setenv("GONLAB_BUDGET_SECONDS", env)
-    argv = ["gonality", "cycle:8", *(("--budget-seconds", flag) if flag else ())]
-    assert main(argv) == 1
+    assert main(["gonality", "cycle:8", "--budget-seconds", flag]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not nan" in captured.err
@@ -457,24 +460,9 @@ def test_infinite_budget_seconds_is_no_deadline(capsys):
     assert payload["gonality"] == 2
 
 
-def test_budget_seconds_env(capsys, monkeypatch):
-    monkeypatch.setenv("GONLAB_BUDGET_SECONDS", "0.000001")
-    code, payload = run_json(capsys, "gonality", "pappus")
-    assert code == 2  # partial output: a bracket instead of a certificate
-    assert payload["lower"] >= 1
-    assert payload["upper"] == 9
-    assert "budget" in payload["reason"]
-
-
-@pytest.mark.parametrize(
-    "flag, env",
-    [("--budget", None), ("--budget-seconds", None), (None, "GONLAB_BUDGET_STEPS"), (None, "GONLAB_BUDGET_SECONDS")],
-    ids=["flag-steps", "flag-seconds", "env-steps", "env-seconds"],
-)
-def test_zero_budget_is_a_cap(capsys, monkeypatch, flag, env):
-    if env:
-        monkeypatch.setenv(env, "0")
-    code, payload = run_json(capsys, "gonality", "cycle:8", *((flag, "0") if flag else ()))
+@pytest.mark.parametrize("flag", ["--budget", "--budget-seconds"], ids=["flag-steps", "flag-seconds"])
+def test_zero_budget_is_a_cap(capsys, flag):
+    code, payload = run_json(capsys, "gonality", "cycle:8", flag, "0")
     assert code == 2
     assert payload["lower"] == 1
     assert payload["upper"] == 2

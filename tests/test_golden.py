@@ -8,12 +8,16 @@ failed rank test, a v-reduced form reached through deficit repair over
 several distance layers, and a search's colex-least witness.  A budget-stopped `bu`
 fixture pins the incumbent at the stop, which depends on the search order.
 
+The `.human` and `.tsv` fixtures pin the two text formats, and the
+`spectral` fixtures the payload of a connected graph, of one below the
+spectral bound's 3 vertices (its `note`) and of a disconnected edge list.
+
 A change that alters any of these outputs on purpose regenerates the
 fixture with the command in `GOLDEN` or `GOLDEN_STOPPED` (plus
-``--format json``) and says why in CHANGES.md.
+``--format json`` where the command names no format) and says why in
+CHANGES.md.
 """
 
-import os
 from pathlib import Path
 
 import pytest
@@ -24,6 +28,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 GOLDEN = {
     "bounds_pappus.json": ("bounds", "pappus"),
+    "bounds_pappus.tsv": ("bounds", "pappus", "--format", "tsv"),
     "bu_pappus_u5_18.json": ("bu", "pappus", "--u", "5/18"),
     "bu_pappus_u9_18.json": ("bu", "pappus", "--u", "9/18"),
     "cheeger_pappus.json": ("cheeger", "pappus"),
@@ -36,14 +41,19 @@ GOLDEN = {
     "rank_path120_at1.json": ("rank", "path:120", "0:1", "--at-least", "1"),
     "reduce_pappus_at9.json": ("reduce", "pappus", "0:-3,5:4,17:2", "--at", "9"),
     "spectral_pappus.json": ("spectral", "pappus"),
+    "spectral_pappus.human": ("spectral", "pappus", "--format", "human"),
+    "spectral_path2.json": ("spectral", "path:2"),
+    "spectral_two_edges.json": ("spectral", str(GOLDEN_DIR / "two_edges.txt")),
 }
 
 
+def _argv(command: tuple[str, ...]) -> list[str]:
+    return [*command] if "--format" in command else [*command, "--format", "json"]
+
+
 @pytest.mark.parametrize("fixture", sorted(GOLDEN))
-def test_golden_output(fixture, capsys, monkeypatch):
-    for var in [var for var in os.environ if var.startswith("GONLAB_")]:
-        monkeypatch.delenv(var)
-    assert main([*GOLDEN[fixture], "--format", "json"]) == 0
+def test_golden_output(fixture, capsys):
+    assert main(_argv(GOLDEN[fixture])) == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / fixture).read_text()
 
 
@@ -54,8 +64,6 @@ GOLDEN_STOPPED = {
 
 
 @pytest.mark.parametrize("fixture", sorted(GOLDEN_STOPPED))
-def test_golden_output_of_a_budget_stop(fixture, capsys, monkeypatch):
-    for var in [var for var in os.environ if var.startswith("GONLAB_")]:
-        monkeypatch.delenv(var)
-    assert main([*GOLDEN_STOPPED[fixture], "--format", "json"]) == 2
+def test_golden_output_of_a_budget_stop(fixture, capsys):
+    assert main(_argv(GOLDEN_STOPPED[fixture])) == 2
     assert capsys.readouterr().out == (GOLDEN_DIR / fixture).read_text()
