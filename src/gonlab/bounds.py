@@ -7,8 +7,8 @@ Two lower-bound families are evaluated over the u-grid:
 
 * separator grid: max over u of min{B_u(G), h(G)*u*n} - needs B_u exactly
   only where it is below h*u*n; elsewhere the row minimum is h*u*n, and a
-  proof that B_u >= ceil(h*u*n) is enough.  So `full_report` searches rows
-  j >= 2 only for separators below that target, from u = 1/2 down: B_u
+  proof that B_u >= ceil(h*u*n) is enough.  So `full_report` searches every
+  row only for separators below that target, from u = 1/2 down: B_u
   does not increase with u, so a lower bound proven at a larger u can
   settle a row with no search at all;
 * cheeger grid (k-regular only): max over u of min{h_u/(k+h_u)*n,
@@ -47,7 +47,6 @@ from gonlab.expansion import (
 from gonlab.gonality import (
     GonalityBracket,
     GonalityCertificate,
-    cover_search_pays,
     exact_gonality,
     genus_upper_bound,
     greedy_independent_set,
@@ -290,27 +289,25 @@ def full_report(
     the vertex boundaries of the profile's witnesses seed the separator
     rows.  Seeds shrink the search trees and change step counts, never a
     value or a witness.  The graph's greedy set, alpha cap and bipartite
-    test are computed once, on the graph.  The separator of the first grid
-    row, u = 1/n, is the minimum vertex cover that the independence bound
-    needs.  Where that search can beat the genus bound
-    (`gonality.cover_search_pays`), it runs first and uncapped, and the
-    cover seeds every later row: a cover is a separator at every u.
-    Elsewhere no cover search runs: the greedy set's complement seeds the
-    rows, and row 1 joins the others with n - `independence_cap`, a lower
-    bound on the cover size B_{1/n}, as a free lower bound.  The rows then
-    run from u = 1/2 down, and each needs only B_u >= ceil(h*j) or the
-    optimum below it.  A row whose B_u is already known to reach ceil(h*j),
-    because a row at a larger u proved that lower bound, is settled with no
-    search: its certificate is the cover with that `lower_bound`.  Every
-    other row searches only for separators below ceil(h*j): if none exists,
+    test are computed once, on the graph; the lower and upper stages share
+    no search result.  The rows run from u = 1/2 down to u = 1/n, and each
+    needs only B_u >= ceil(h*j) or the optimum below it.  A row whose B_u
+    is already known to reach ceil(h*j) is settled with no search: a row
+    at a larger u proved that lower bound, or, at row 1, n -
+    `independence_cap` bounds the cover size B_{1/n} = n - alpha from
+    below.  Its certificate is the greedy set's complement, a vertex cover
+    and so a separator at every u, with that `lower_bound`.  Every other
+    row searches only for separators below ceil(h*j): if none exists,
     B_u >= h*j and the row minimum is h*j; if one does, the search runs on
     to the optimum, which is then below h*j and is the row minimum.  Such a
     row starts from the smallest inner or outer vertex boundary of a Cheeger
     witness that is below ceil(h*j) and leaves no component above j, where
     there is one (it proves the optimum lies below the target, so the row
-    runs to it as before), and from the cover otherwise.  A boundary at or
-    above the target is never a seed: it would print a size where the row
-    prints null.  A Cheeger scan stopped by the budget, or a separator
+    runs to it as before), and from the greedy cover otherwise.  A boundary
+    at or above the target is never a seed: it would print a size where the
+    row prints null.  The minimum vertex cover itself is searched only by
+    the independence bound (`gonality.independence_upper_bound`), in the
+    upper-bound stage.  A Cheeger scan stopped by the budget, or a separator
     search whose certificate does not pin its row minimum, is excluded from
     the lower-bound fold (soundness firewall); it, or a stopped vertex-cover
     search, is recorded in `notes` (rows in ascending u) and flags
@@ -353,19 +350,9 @@ def full_report(
 
     separators: dict[int, SeparatorCertificate] = {}
     rows: tuple[GridRow, ...] = ()
-    cover: SeparatorCertificate | None = None
     if profile is not None:
         seed = frozenset(range(g.n)) - greedy_independent_set(g)
         certs = {}
-        descending = profile.points
-        if cover_search_pays(g):
-            # row j = 1 (u = 1/n) is the vertex-cover search of the
-            # independence bound, with its seed; a budget stop returns a
-            # valid incumbent with optimal=False
-            cover = b_u(g, profile.points[0].u, budget, seed=seed)
-            certs[1] = cover
-            seed = cover.separator
-            descending = profile.points[1:]
         # B_u does not increase with u, so a lower bound proven at one row
         # holds at every row below it: run down from u = 1/2, keeping in `lb`
         # the largest one so far, and settle a row it already lifts to
@@ -373,7 +360,7 @@ def full_report(
         hn, hd = profile.h.numerator, profile.h.denominator
         boundaries = _witness_boundaries(g, profile)
         lb = 0
-        for point in reversed(descending):
+        for point in reversed(profile.points):
             below = -(-hn * point.j // hd)
             if point.j == 1:  # B_{1/n} = n - alpha
                 lb = max(lb, g.n - independence_cap(g))
@@ -407,7 +394,7 @@ def full_report(
     upper_genus = upper_independence = upper = None
     if upper_bounds:
         upper_genus = genus_upper_bound(g)
-        upper_independence, exact = independence_upper_bound(g, budget, cover)
+        upper_independence, exact = independence_upper_bound(g, budget)
         if not exact:
             notes.append(
                 f"vertex-cover search exhausted budget: independence upper bound "

@@ -227,15 +227,15 @@ def cmd_bounds(args) -> int:
 def cmd_random(args) -> int:
     params = ConfigModelParams(k=args.k, n=args.n, seed=args.seed, mode=args.mode)
     caps = ExperimentCaps(gonality_cap=args.gonality_cap, cheeger_cap=args.cheeger_cap)
+    if args.emit_graphs:  # before the experiment, so a bad path fails at once
+        Path(args.emit_graphs).mkdir(parents=True, exist_ok=True)
     records, summary = run_experiment(
         params, args.samples, caps, threads=args.threads, budget=build_budget(args)
     )
     if args.emit_graphs:
-        outdir = Path(args.emit_graphs)
-        outdir.mkdir(parents=True, exist_ok=True)
         for record in records:
             g = sample_configuration(params, record.index)
-            (outdir / f"sample_{record.index:04d}.txt").write_text(g.to_edge_list_text())
+            (Path(args.emit_graphs) / f"sample_{record.index:04d}.txt").write_text(g.to_edge_list_text())
     emit(
         {
             "params": params,
@@ -366,7 +366,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
 from gonlab.divisor import Divisor
-from gonlab.expansion import SeparatorCertificate, b_u
+from gonlab.expansion import b_u
 from gonlab.graph import Multigraph, genus
 from gonlab.reduction import _positive_rank_obstruction, _reduced_divisors, _vertex_order
 
@@ -146,11 +146,7 @@ def cover_search_pays(g: Multigraph) -> bool:
     return g.n - independence_cap(g) < genus_upper_bound(g)
 
 
-def independence_upper_bound(
-    g: Multigraph,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    cover: SeparatorCertificate | None = None,
-) -> tuple[int, bool]:
+def independence_upper_bound(g: Multigraph, budget: SearchBudget = DEFAULT_BUDGET) -> tuple[int, bool]:
     """Upper bound from the complement of an independent set, which carries
     a positive-rank divisor.  Equals n - alpha(G) on simple graphs.
 
@@ -161,17 +157,15 @@ def independence_upper_bound(
     = 1 is not even a correct bound.
 
     The set is the complement of a minimum vertex cover, the separator B_u
-    at u = 1/n, searched from the greedy set's complement.  On multigraphs
-    the weights depend on the set, so the lighter of its and the greedy
-    set's complement divisors is taken: never weaker than the greedy bound.
+    at u = 1/n, searched from the greedy set's complement.  This is the
+    only cover search of the library: the bound report's lower stages do
+    not run it.  On multigraphs the weights depend on the set, so the
+    lighter of its and the greedy set's complement divisors is taken:
+    never weaker than the greedy bound.
     Where no cover can beat the genus bound (`cover_search_pays` is false),
     no search runs: the greedy set's complement divisor is the bound, and
     the smaller of it and the genus bound is the genus bound, as it would
     be after any search.
-
-    `cover`, when given, is the certificate of that very search, already
-    run (the bound report's first grid row is this search), and no search
-    is run here; it must be a separator at u = 1/n (ValueError otherwise).
 
     Returns (bound, exact), exact when the cover is certified minimum or no
     cover search was needed; the cover of a stopped search still gives a
@@ -180,16 +174,11 @@ def independence_upper_bound(
     """
     if g.n == 1:
         return 1, True
-    if cover is not None and cover.max_component != 1:
-        raise ValueError(
-            f"a vertex cover leaves single vertices, not components of {cover.max_component}"
-        )
     greedy = greedy_independent_set(g)
     if not cover_search_pays(g):
         return max(1, complement_divisor(g, greedy).degree()), True
     everything = frozenset(range(g.n))
-    if cover is None:
-        cover = b_u(g, Fraction(1, g.n), budget, seed=everything - greedy)
+    cover = b_u(g, Fraction(1, g.n), budget, seed=everything - greedy)
     bound = min(complement_divisor(g, s).degree() for s in (everything - cover.separator, greedy))
     return max(1, bound), cover.optimal
 

@@ -336,11 +336,27 @@ def test_full_report_rows_match_the_separator_oracle(corpus, pappus):
 
 
 def test_full_report_shares_the_cover_search(corpus, pappus):
-    """Row j = 1 is the independence bound's vertex-cover search with its
-    seed, so the report's bound and exactness are the standalone ones."""
+    """The report's upper stage runs the independence bound's own
+    vertex-cover search, so its bound and exactness are the standalone
+    ones."""
     for g in corpus + [pappus]:
         report = full_report(g)
         assert (report.upper_independence, not report.budget_limited) == independence_upper_bound(g)
+
+
+def test_full_report_without_upper_bounds_runs_no_cover_search(pappus):
+    """Only the independence bound searches for a vertex cover: without the
+    upper stage no u = 1/n meter opens, and the lower stages print the
+    same rows and bounds."""
+    budget = RecordingBudget()
+    report = full_report(pappus, budget, upper_bounds=False)
+    assert "separator search u=1/18" not in [m.what for m in budget.meters]
+    full = full_report(pappus)
+    assert (report.rows, report.separator_bound, report.lower) == (
+        full.rows,
+        full.separator_bound,
+        full.lower,
+    )
 
 
 def test_full_report_notes_a_stopped_cover_search():
@@ -488,9 +504,9 @@ CUBIC_16 = Multigraph.from_edges(
             named_graph("pappus"),
             [
                 ("cheeger scan", 5818),
-                ("separator search u=1/18", 3),
                 ("separator search u=1/2", 4056),
                 ("separator search u=4/9", 2750),
+                ("separator search u=1/18", 3),
             ],
         ),
         (
@@ -507,14 +523,14 @@ CUBIC_16 = Multigraph.from_edges(
 def test_full_report_work_counts_are_pinned(g, counts):
     """Every search's step count in the bound report.  The engines' search
     trees, branch orders and tie-breaks decide these counts, so a rewrite
-    that keeps them keeps the trees.  On Pappus, which is bipartite, the
-    first grid row, u = 1/n, is the vertex-cover search of the independence
-    bound, so no cover search follows the rows.  On cubic16 no cover can
-    beat the genus bound, so no cover search runs at all and row 1 is
-    settled by n - alpha_cap.  Rows run from u = 1/2 down and search only
-    below ceil(h*j); a row whose target a larger u's lower bound already
-    reaches opens no meter (Pappus searches rows 9 and 8 and settles 7 to 2,
-    cubic16 searches rows 8 and 7 and settles 6 to 1).  The scan starts
+    that keeps them keeps the trees.  Rows run from u = 1/2 down and search
+    only below ceil(h*j); a row whose target a larger u's lower bound, or
+    at row 1 n - alpha_cap, already reaches opens no meter (Pappus searches
+    rows 9 and 8 and settles 7 to 1, cubic16 searches rows 8 and 7 and
+    settles 6 to 1).  The vertex-cover search (u = 1/n) is the independence
+    bound's, after the rows: on Pappus, which is bipartite, a cover could
+    beat the genus bound, so it runs; on cubic16 none could, and it does
+    not.  The scan starts
     from the sweep cuts of the Fiedler vector, and cubic16's row 8 from a
     witness boundary below its target; each meter names its row's u."""
     budget = RecordingBudget()

@@ -341,6 +341,26 @@ def test_random_emit_graphs(tmp_path, capsys):
     assert g == sample_configuration(ConfigModelParams(k=2, n=6, seed=1), 0)
 
 
+def test_a_directory_as_graph_is_an_input_error(tmp_path, capsys):
+    assert main(["bounds", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_emit_graphs_onto_a_file_fails_before_the_experiment(tmp_path, capsys, monkeypatch):
+    """The output directory is made first: a path that cannot be one stops
+    the command before any sample is drawn."""
+    target = tmp_path / "taken"
+    target.write_text("")
+    monkeypatch.setattr("gonlab.cli.run_experiment", lambda *a, **k: pytest.fail("experiment ran"))
+    argv = ["random", "--k", "3", "--n", "40", "--samples", "20", "--emit-graphs", str(target)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_human_and_json_agree_numerically(capsys):
     code, payload = run_json(capsys, "spectral", "k4")
     _, human = run_cli(capsys, "spectral", "k4")

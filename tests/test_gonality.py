@@ -193,20 +193,6 @@ def test_bipartite_cubic_bound_is_genus_minus_one(pappus):
     assert independence_upper_bound(pappus) == (genus(pappus) - 1, True)
 
 
-def test_independence_bound_takes_a_finished_cover_search(corpus, pappus):
-    """Handed the certificate of its own u = 1/n search, the bound runs no
-    search and returns what it would have computed; any other separator
-    is refused."""
-    for g in corpus[:40] + [pappus]:
-        seed = frozenset(range(g.n)) - greedy_independent_set(g)
-        for budget in (SearchBudget(), SearchBudget(max_steps=0)):
-            cover = b_u(g, Fraction(1, g.n), budget, seed=seed)
-            expected = independence_upper_bound(g, budget)
-            assert independence_upper_bound(g, SearchBudget(max_steps=0), cover) == expected
-    with pytest.raises(ValueError, match="vertex cover"):
-        independence_upper_bound(pappus, cover=b_u(pappus, Fraction(2, 18)))
-
-
 def test_greedy_independent_set_is_independent(corpus):
     for g in corpus[:30]:
         s = greedy_independent_set(g)
