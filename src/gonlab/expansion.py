@@ -99,29 +99,38 @@ def _scan_connected_subsets(g: Multigraph, max_size: int, budget: SearchBudget, 
     size s >= c, `fixed` exceeds least[s] (no tie either) or reaches
     ceil(s * r) for the running minimum r over the sizes below s (no new
     running minimum).  `reach[c]` is the largest `fixed` that passes,
-    refreshed whenever least changes.  At a size that sets a new running
-    minimum, all minimizers are reached: their ancestors' `fixed` is at
-    most their boundary, which is below both thresholds.  Each visited
-    subset ticks the meter once.
+    refreshed whenever least changes.  A second cut uses the boundary
+    itself: adding a vertex w lowers it by at most val(w) <= `top`, the
+    maximum valence, so a size-s extension of a size-c subset has boundary
+    at least boundary - top * (s - c).  With t(s) = min(least[s],
+    ceil(s * r) - 1), the largest boundary that passes both tests at size
+    s, `reach_b[c]` is the maximum of t(s) + top * s over s >= c, and a
+    subtree whose root has boundary + top * c above it is skipped.  At a
+    size that sets a new running minimum, all minimizers are reached: their
+    ancestors' `fixed` is at most their boundary, which is below both
+    thresholds, and an ancestor's boundary exceeds theirs by at most `top`
+    per missing vertex.  Each visited subset ticks the meter once.
 
     `seeds` are masks of subsets of 1 to `max_size` vertices, connected or
     not, entered before the enumeration as if it had visited them, with
-    the same tie-break; `reach` is then refreshed once.  The argument above
-    needs only least[s] >= the least boundary of any s-subset, which every
-    seed keeps.  At a size that sets a new running minimum every minimizer
-    is connected (a split set is no better than its best part, of smaller
-    size), so it is still reached, and a seed there that is not one is
-    replaced: values and witnesses are the unseeded ones.  A good seed (a
-    sweep cut of the Fiedler vector, say) only makes the cut fire sooner.
-    At the other sizes a seed may leave a disconnected subset in masks[j].
-    Seeds tick no step.
+    the same tie-break; `reach` and `reach_b` are then refreshed once.  The
+    argument above needs only least[s] >= the least boundary of any
+    s-subset, which every seed keeps.  At a size that sets a new running
+    minimum every minimizer is connected (a split set is no better than
+    its best part, of smaller size), so it is still reached, and a seed
+    there that is not one is replaced: values and witnesses are the
+    unseeded ones.  A good seed (a sweep cut of the Fiedler vector, say)
+    only makes the cuts fire sooner.  At the other sizes a seed may leave
+    a disconnected subset in masks[j].  Seeds tick no step.
     """
     adj = g._masks
     layers = g._layers
     val = g._val
+    top = g.max_valence
     least = [g.m + 1] * (max_size + 1)  # above any boundary
     masks = [0] * (max_size + 1)
     reach = [g.m + 1] * (max_size + 1)
+    reach_b = [g.m + 1 + top * max_size] * (max_size + 1)
     tick = budget.meter("cheeger scan").tick
 
     for mask in seeds:
@@ -142,11 +151,14 @@ def _scan_connected_subsets(g: Multigraph, max_size: int, budget: SearchBudget, 
         for s in range(1, max_size + 1):
             # fixed <= least[s] allows a tie, fixed < ceil(s * num / den) a new minimum
             reach[s] = min(least[s], (s * num - 1) // den)
+            reach_b[s] = reach[s] + top * s
             if least[s] * den < num * s:
                 num, den = least[s], s
         for s in range(max_size - 1, 0, -1):
             if reach[s] < reach[s + 1]:
                 reach[s] = reach[s + 1]
+            if reach_b[s] < reach_b[s + 1]:
+                reach_b[s] = reach_b[s + 1]
 
     if seeds:
         refresh()
@@ -172,9 +184,10 @@ def _scan_connected_subsets(g: Multigraph, max_size: int, budget: SearchBudget, 
                 into += (layer & mask).bit_count()
                 out += (layer & avail).bit_count()
             child_fixed = fixed + val[w] - into - out
-            if child_fixed <= reach[size]:
+            child_boundary = boundary + val[w] - 2 * into
+            if child_fixed <= reach[size] and child_boundary + top * size <= reach_b[size]:
                 child_ext = ext | adj[w] & avail
-                rec(mask | bit, size, boundary + val[w] - 2 * into, child_ext, avail, child_fixed)
+                rec(mask | bit, size, child_boundary, child_ext, avail, child_fixed)
             fixed += into  # w is excluded from the later siblings
 
     for anchor in range(g.n):

@@ -20,7 +20,6 @@ once it holds t+1 vertices.
 from __future__ import annotations
 
 import functools
-import hashlib
 import heapq
 import re
 from dataclasses import dataclass, field
@@ -213,6 +212,8 @@ class Multigraph:
 
     def canonical_hash(self) -> str:
         """Stable hex digest of the canonical edge list (for experiment records)."""
+        import hashlib
+
         text = f"{self.n} {self.m};" + ",".join(
             f"{u}-{v}x{mult}" for u, v, mult in self.edges
         )

@@ -13,6 +13,10 @@ seed XOR splitmix64(i), so workers can evaluate samples concurrently with
 results independent of scheduling, and a fixed (params, index) pair always
 yields the same graph.
 
+numpy is imported by `sample_configuration` on its first call, and the
+process pool by `run_experiment` only when it runs more than one thread,
+so importing this module loads neither.
+
 A record is a projection of the sample's bound report, whose last stage
 is the gonality search inside the report's bracket: the harness folds no
 bracket of its own.  Two size caps apply: `cheeger_cap` to the Cheeger
@@ -26,11 +30,8 @@ empirical distributions at finite n and cannot confirm them.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from gonlab.bounds import DEFAULT_EXACT_CHEEGER_CAP, full_report
 from gonlab.budget import DEFAULT_BUDGET, SearchBudget
@@ -83,6 +84,8 @@ def sample_configuration(params: ConfigModelParams, sample_index: int = 0) -> Mu
     multigraph mode keeps parallel edges and resamples only on self-loops;
     simple mode resamples until loop- and parallel-free.
     """
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(params.sample_seed(sample_index)))
     half_edges = np.repeat(np.arange(params.n), params.k)
     for _ in range(MAX_RESAMPLES):
@@ -235,6 +238,8 @@ def run_experiment(
         raise ValueError(f"thread count must be at least 1, got {threads}")
     indices = list(range(samples))
     if threads > 1 and samples > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(threads, samples)) as pool:
             records = list(
                 pool.map(

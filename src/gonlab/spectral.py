@@ -6,6 +6,8 @@ The flip is documented here once; every eigenvalue below refers to A.
 
 LAPACK (`numpy.linalg.eigh`) gives the estimate of lambda2 and the Fiedler
 vector; two checks that hold under rounding then prove lo <= lambda2 <= hi.
+numpy is imported by `algebraic_connectivity` on its first call, so
+importing this module does not load it.
 
 * hi: lambda2 is the minimum of the Rayleigh quotient of A over vectors
   orthogonal to the all-ones vector 1.  The Fiedler vector is scaled to
@@ -45,8 +47,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from gonlab.graph import Multigraph, laplacian
 
@@ -95,6 +95,8 @@ def algebraic_connectivity(g: Multigraph) -> SpectralSummary:
     a disconnected graph is reported as the computed near-zero value
     (clamped at 0) but `connected` is authoritative.
     """
+    import numpy as np
+
     if g.n < 2:
         raise ValueError("algebraic connectivity needs at least 2 vertices")
     n = g.n

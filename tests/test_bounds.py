@@ -503,7 +503,7 @@ CUBIC_16 = Multigraph.from_edges(
         (
             named_graph("pappus"),
             [
-                ("cheeger scan", 5818),
+                ("cheeger scan", 4232),
                 ("separator search u=1/2", 4056),
                 ("separator search u=4/9", 2750),
                 ("separator search u=1/18", 3),
@@ -512,7 +512,7 @@ CUBIC_16 = Multigraph.from_edges(
         (
             CUBIC_16,
             [
-                ("cheeger scan", 1097),
+                ("cheeger scan", 652),
                 ("separator search u=1/2", 261),
                 ("separator search u=7/16", 672),
             ],
@@ -551,7 +551,7 @@ def test_cubic_bounds_work_totals_are_pinned():
         for m in budget.meters:
             totals[m.what] += m.count
     assert totals == {
-        "cheeger scan": 32185,
+        "cheeger scan": 22247,
         "separator search u=1/2": 7196,
         "separator search u=7/16": 5518,
     }

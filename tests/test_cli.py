@@ -405,6 +405,31 @@ def test_python_dash_m_runs_the_cli(argv, code, capsys, cli_env):
     assert proc.returncode == code
 
 
+IMPORT_FOOTPRINT = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import gonlab, gonlab.cli
+imported = set(sys.modules) - before
+with contextlib.redirect_stdout(io.StringIO()):
+    code = gonlab.cli.main(["spectral", "k4", "--format", "json"])
+print(json.dumps({"imported": sorted(imported), "code": code, "numpy_after": "numpy" in sys.modules}))
+"""
+
+
+def test_import_loads_no_pool_numpy_or_hashlib(cli_env):
+    """A fresh `import gonlab.cli` loads neither numpy nor the process pool
+    nor hashlib; the commands that need them import them on first use.
+    Modules the interpreter's start-up already loaded are not counted."""
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_FOOTPRINT],
+        capture_output=True, text=True, env=cli_env, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout)
+    packages = {m.partition(".")[0] for m in result["imported"]}
+    assert packages & {"numpy", "multiprocessing", "concurrent", "hashlib"} == set()
+    assert result["code"] == 0 and result["numpy_after"]
+
+
 def test_pappus_demo(capsys):
     code, payload = run_json(capsys, "pappus-demo")
     assert code == 0
@@ -513,10 +538,10 @@ def test_random_above_gonality_cap_is_capped_not_stopped(capsys):
 
 
 def test_random_reports_budget_limited_bound_report(capsys):
-    """A 40-step cap stops a search in both samples' reports.  (At 50 the
+    """A 30-step cap stops a search in both samples' reports.  (At 31 the
     seeded scan and rows of the first sample all finish.)"""
     code, payload = run_json(
-        capsys, "random", "--k", "3", "--n", "10", "--samples", "2", "--seed", "4", "--budget", "40"
+        capsys, "random", "--k", "3", "--n", "10", "--samples", "2", "--seed", "4", "--budget", "30"
     )
     assert code == 2
     assert [r["budget_limited"] for r in payload["records"]] == [True, True]

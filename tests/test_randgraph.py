@@ -1,6 +1,7 @@
+import concurrent.futures
+
 import pytest
 
-from gonlab import randgraph
 from gonlab.budget import SearchBudget
 from gonlab.graph import named_graph
 from gonlab.randgraph import (
@@ -133,7 +134,7 @@ def test_pool_has_at_most_one_worker_per_sample(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(randgraph, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     params = ConfigModelParams(k=3, n=8, seed=13)
     records, _ = run_experiment(params, 2, threads=64)
     assert sizes == [2]
