@@ -166,6 +166,16 @@ def _boundary_seed(g: Multigraph, boundaries: list[int], t: int, below: int) -> 
     return frozenset()
 
 
+def _transform_floor(g: Multigraph, h_u: Fraction) -> int:
+    """ceil(h_u*n/(D + h_u)) with D = `max_valence`, a lower bound on B_u
+    at the u of `h_u`.  Every boundary edge of a component left by a
+    separator S ends in S, and each component has at most u*n vertices, so
+    its boundary is at least h_u times its size: h_u*(n - |S|) <= D*|S|.
+    This is the Cheeger grid's transform, on any multigraph."""
+    a, b = h_u.numerator, h_u.denominator
+    return -(-a * g.n // (g.max_valence * b + a))
+
+
 def _settled(
     g: Multigraph, u: Fraction, cover: frozenset[int], lower_bound: int
 ) -> SeparatorCertificate:
@@ -305,11 +315,18 @@ def full_report(
     there is one (it proves the optimum lies below the target, so the row
     runs to it as before), and from the greedy cover otherwise.  A boundary
     at or above the target is never a seed: it would print a size where the
-    row prints null.  The minimum vertex cover itself is searched only by
+    row prints null.  Each searched row also gets a floor (`b_u`'s
+    `floor`), the larger of `lb` and the transform bound ceil(h_u*n/(D +
+    h_u)) with D = `max_valence` (`_transform_floor`), which holds on any
+    multigraph.  A row whose floor reaches its target or its seed opens
+    its meter but searches nothing, and any row stops once it finds a
+    separator at its floor; the certificates are those of the search
+    without a floor.  The minimum vertex cover itself is searched only by
     the independence bound (`gonality.independence_upper_bound`), in the
-    upper-bound stage.  A Cheeger scan stopped by the budget, or a separator
-    search whose certificate does not pin its row minimum, is excluded from
-    the lower-bound fold (soundness firewall); it, or a stopped vertex-cover
+    upper-bound stage, with n - `independence_cap` as its floor.  A
+    Cheeger scan stopped by the budget, or a separator search whose
+    certificate does not pin its row minimum, is excluded from the
+    lower-bound fold (soundness firewall); it, or a stopped vertex-cover
     search, is recorded in `notes` (rows in ascending u) and flags
     `budget_limited`.  On fewer than 3 vertices the spectral bound is not a
     theorem; its ceiling is then 1 and `notes` says so.  A degree-1 divisor
@@ -368,7 +385,8 @@ def full_report(
                 certs[point.j] = _settled(g, point.u, seed, lb)
             else:
                 row_seed = _boundary_seed(g, boundaries, point.j, below) or seed
-                certs[point.j] = b_u(g, point.u, budget, seed=row_seed, below=below)
+                floor = max(lb, _transform_floor(g, point.value))
+                certs[point.j] = b_u(g, point.u, budget, seed=row_seed, below=below, floor=floor)
                 lb = max(lb, certs[point.j].lower_bound)
         for point in profile.points:
             cert = certs[point.j]

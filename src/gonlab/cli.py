@@ -1,7 +1,8 @@
 """Command line front end: ``gonlab <subcommand> ...``.
 
 Exit codes: 0 success, 1 input or usage error, 2 budget exhaustion (a
-partial answer is still emitted where the command has one).  JSON output is
+partial answer is still emitted where the command has one).  A closed
+stdout pipe ends the command quietly with 0.  JSON output is
 canonical: keys sorted, compact separators, exact rationals rendered as
 "p/q" strings; re-serializing the parsed output reproduces it byte for
 byte.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -359,7 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`| head`), which is not an error; Python
+        # flushes stdout again at exit, so it writes to os.devnull from now on
+        # (the SIGPIPE note of Python's `signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except GraphParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

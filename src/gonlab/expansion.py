@@ -352,12 +352,18 @@ def _greedy_separator(
         free ^= pick
 
 
+class _FloorReached(Exception):
+    """Ends a separator search whose incumbent has reached the floor."""
+
+
 def b_u(
     g: Multigraph,
     u: Fraction,
     budget: SearchBudget = DEFAULT_BUDGET,
     seed: frozenset[int] = frozenset(),
     below: int | None = None,
+    *,
+    floor: int = 0,
 ) -> SeparatorCertificate:
     """Minimum-size vertex set whose removal leaves only components of size
     <= u*n, by branch and bound on violating connected subsets.
@@ -398,9 +404,21 @@ def b_u(
     greedy separator is built only when the seed is empty: a smaller
     greedy separator could only start the search lower, and the search
     finds every separator below the seed and the target anyway.  With
-    `below` None the search is unchanged.  The step meter is named
-    "separator search u=<u>", so the searches of one report can be told
-    apart.
+    `below` None the search is unchanged.
+
+    `floor` is a lower bound on B_u that the caller has proven, 0 when
+    there is none.  A separator that the search finds at the floor is
+    optimal, so the search stops there; the incumbent changes only on a
+    strict improvement, so the certificate is the one the whole search
+    returns.  With a target, the search asks only whether B_u < `below`,
+    and a floor at or above the smaller of `below` and the incumbent's
+    size answers that before the search starts, so none runs: a floor at
+    or above `below` refutes the target (the incumbent is returned with
+    `lower_bound` = `below`), and an incumbent at the floor is optimal.
+    Either way the certificate is the one the search would return.
+    Without a target the search always starts, so that a step cap still
+    stops it at its first node.  The step meter is named "separator search
+    u=<u>", so the searches of one report can be told apart.
     """
     u = Fraction(u)
     if not (0 < u <= Fraction(1, 2)):
@@ -451,6 +469,8 @@ def b_u(
                 return
         if witness is None:
             incumbent, best = mask, size  # strictly smaller: room > 0
+            if size <= floor:
+                raise _FloorReached
             return
         for w in sorted(witness, key=rank.__getitem__):
             bit = 1 << w
@@ -458,14 +478,21 @@ def b_u(
                 dfs(mask | bit, size + 1, kept)
                 kept |= bit
 
+    stopped = False
     try:
-        dfs(0, 0, 0)
-        lower_bound = best  # the optimum, or `below` when no separator lies below it
-        optimal = lower_bound == incumbent.bit_count()
+        if below is None or best > floor:
+            dfs(0, 0, 0)
+    except _FloorReached:
+        pass
     except (BudgetExceededError, RecursionError):
+        stopped = True
+    if stopped:
         root_lb = _packing(adj, full, t, g.n + 1, parent, subtree)[0]  # room above any count
         lower_bound = min(root_lb, incumbent.bit_count())
         optimal = False
+    else:
+        lower_bound = best  # the optimum, or `below` when no separator lies below it
+        optimal = lower_bound == incumbent.bit_count()
 
     separator = frozenset(_mask_tuple(incumbent))
     sizes = tuple(sorted(map(int.bit_count, _component_masks(adj, full ^ incumbent)), reverse=True))

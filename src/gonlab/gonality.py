@@ -157,15 +157,15 @@ def independence_upper_bound(g: Multigraph, budget: SearchBudget = DEFAULT_BUDGE
     = 1 is not even a correct bound.
 
     The set is the complement of a minimum vertex cover, the separator B_u
-    at u = 1/n, searched from the greedy set's complement.  This is the
-    only cover search of the library: the bound report's lower stages do
-    not run it.  On multigraphs the weights depend on the set, so the
-    lighter of its and the greedy set's complement divisors is taken:
-    never weaker than the greedy bound.
-    Where no cover can beat the genus bound (`cover_search_pays` is false),
-    no search runs: the greedy set's complement divisor is the bound, and
-    the smaller of it and the genus bound is the genus bound, as it would
-    be after any search.
+    at u = 1/n, searched from the greedy set's complement; it stops once it
+    finds a cover of n - `independence_cap` vertices, which is minimum.
+    This is the only cover search of the library: the bound report's lower
+    stages do not run it.  On multigraphs the weights depend on the set, so
+    the lighter of its and the greedy set's complement divisors is taken:
+    never weaker than the greedy bound.  Where no cover can beat the genus
+    bound (`cover_search_pays` is false), no search runs: the greedy set's
+    complement divisor is the bound, and the smaller of it and the genus
+    bound is the genus bound, as it would be after any search.
 
     Returns (bound, exact), exact when the cover is certified minimum or no
     cover search was needed; the cover of a stopped search still gives a
@@ -178,7 +178,8 @@ def independence_upper_bound(g: Multigraph, budget: SearchBudget = DEFAULT_BUDGE
     if not cover_search_pays(g):
         return max(1, complement_divisor(g, greedy).degree()), True
     everything = frozenset(range(g.n))
-    cover = b_u(g, Fraction(1, g.n), budget, seed=everything - greedy)
+    floor = g.n - independence_cap(g)  # B_{1/n} = n - alpha
+    cover = b_u(g, Fraction(1, g.n), budget, seed=everything - greedy, floor=floor)
     bound = min(complement_divisor(g, s).degree() for s in (everything - cover.separator, greedy))
     return max(1, bound), cover.optimal
 

@@ -31,7 +31,25 @@ and so its class, is then effective.
 
 The gonality search needs only the 0-reduced effective divisors with a
 chip on vertex 0: `_reduced_divisors` generates them by burning, and
-`_positive_rank_obstruction` tests them at every other vertex.
+`_positive_rank_obstruction` tests them at every other vertex.  Both stop
+a burning pass early, by one argument.  The burnt set of a pass from s on
+chips c is the least set X holding s that is closed: no vertex outside X
+has more edges from X than chips (a vertex that burns has more burnt
+edges than chips, and so lies in every such X).  Let c burn completely
+from s, and run a pass from s' on chips c' that agree with c outside a
+set T.  Once that pass has burnt s and all of T, its final burnt set
+holds s and is closed for c' at vertices where c' = c, so it is closed
+for c and holds everything: the pass burns completely.
+
+* A try of `_reduced_divisors` adds one chip at k to a configuration that
+  burns completely from 0 (s = s' = 0, T = {k}), so the pass can stop
+  once k burns.
+* The first pass of a test at v on a 0-reduced candidate has s = 0,
+  s' = v and T = {v}, so it can stop once vertex 0 burns: the candidate
+  is then v-reduced as it stands, and with no chip on v it fails.
+
+`has_positive_rank` therefore reduces to the full 0-reduced form before
+it tests, so that the test's one precondition holds.
 """
 
 from __future__ import annotations
@@ -55,13 +73,14 @@ class BurnResult:
     fully_burnt: bool
 
 
-def _burn_pass(adj, chips, v):
+def _burn_pass(adj, chips, v, stop=-1):
     """One burning fixed point from v on chips effective away from v.
 
-    Returns None once every vertex has burnt, else the `room` list: each
-    vertex's chips minus its burnt-edge multiplicity, negative exactly on
-    the burnt vertices.  The fixed point is unique, so scan order does not
-    matter, and the pass stops at the last vertex to burn.
+    Returns None once every vertex has burnt, or once vertex `stop` has
+    (the caller knows that everything burns from then on), else the `room`
+    list: each vertex's chips minus its burnt-edge multiplicity, negative
+    exactly on the burnt vertices.  The fixed point is unique, so scan
+    order does not matter, and the pass stops at the last vertex to burn.
     """
     room = list(chips)
     room[v] = -1
@@ -77,7 +96,7 @@ def _burn_pass(adj, chips, v):
                 room[w] = r
                 if r < 0:
                     left -= 1
-                    if not left:
+                    if not left or w == stop:
                         return None
                     stack.append(w)
     return room
@@ -187,7 +206,8 @@ def _reduced_divisors(g: Multigraph, degree: int, tick=lambda: None):
     takes the rest.  Superstables are closed downward, so the colex
     successor of c is c with one more chip on the lowest vertex k >= 1
     where that, with every vertex below k emptied, still burns completely.
-    Each try is one burning pass and one `tick`.  Starting from the empty
+    Each try is one burning pass and one `tick`; the pass stops once k
+    burns (see the module docstring).  Starting from the empty
     configuration this visits exactly the superstables, without recursion.
     """
     if degree < 1:
@@ -205,7 +225,7 @@ def _reduced_divisors(g: Multigraph, degree: int, tick=lambda: None):
             if spare:
                 chips[k] += 1
                 tick()
-                if _burn_pass(adj, chips, 0) is None:
+                if _burn_pass(adj, chips, 0, k) is None:
                     spare -= 1
                     break
                 chips[k] -= 1
@@ -230,17 +250,24 @@ def _vertex_order(g: Multigraph) -> list[int]:
 def _positive_rank_obstruction(g: Multigraph, chips, order, tick) -> int | None:
     """First vertex of `order` whose reduced form holds no chip, or None.
 
-    `chips` must be an effective divisor with a chip on vertex 0 on a
+    `chips` must be a 0-reduced divisor with a chip on vertex 0 on a
     connected graph, so vertex 0 passes and `order` (from `_vertex_order`)
-    lists the others.  Each test at v stops at v's first chip, which the
-    module docstring shows is sound.  `tick` is called before each
-    reduction, so a budget meter can stop a slow test part way.
+    lists the others.  Each test at v stops at v's first chip, and its
+    first burning pass stops once vertex 0 burns, which the module
+    docstring shows is sound.  `tick` is called before each reduction, so
+    a budget meter can stop a slow test part way.
     """
+    adj = g._adj
     for v in order:
         if chips[v]:
             continue  # v passes: its v-reduced form holds at least chips[v]
         tick()
-        if not _reduce(g, list(chips), v, 1)[v]:
+        room = _burn_pass(adj, chips, v, 0)
+        if room is None:  # v-reduced with no chip on v
+            return v
+        test = list(chips)
+        _fire_unburnt(adj, test, room)
+        if not _reduce(g, test, v, 1)[v]:
             return v
     return None
 
@@ -250,16 +277,16 @@ def has_positive_rank(d: Divisor) -> bool:
 
     Implements the reduced-divisor criterion: d has positive rank iff for
     every vertex v the v-reduced representative has at least one chip at v.
-    Divisors of degree below 1 are never of positive rank.  Reduction
-    towards vertex 0 stops at its first chip: the class is then effective
-    and the tests at the other vertices are sound on any effective divisor.
+    Divisors of degree below 1 are never of positive rank.  Vertex 0 is
+    tested on the full 0-reduced form, which then, with its chip on 0, is
+    the candidate that the tests at the other vertices require.
     """
     g = d.graph
     if not g.is_connected():
         raise ValueError("positive rank test requires a connected graph")
     if d.degree() < 1:
         return False
-    chips = _reduce(g, _make_effective_away(g, list(d.chips), 0), 0, 1)
+    chips = _reduce(g, _make_effective_away(g, list(d.chips), 0), 0)
     return chips[0] >= 1 and _positive_rank_obstruction(g, chips, _vertex_order(g), lambda: None) is None
 
 

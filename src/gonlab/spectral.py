@@ -16,14 +16,24 @@ importing this module does not load it.
 * lo: for sigma >= 0 and an integer c > sigma/n, M(sigma) = A - sigma*I +
   c*11^T has eigenvalue c*n - sigma on 1 and lambda_i - sigma on its
   complement, so it is positive definite exactly when lambda2 > sigma.
-  sigma and r lie on a dyadic grid fine enough that M(sigma) - r*I is exact
-  in binary64, and r = gamma_{n+1}/(1 - gamma_{n+1}) * tr M plus an
-  underflow term.  A floating-point Cholesky factorization of M(sigma) - r*I
-  that runs to completion then proves M(sigma) positive definite, for any
-  summation order, blocking or fused multiply-add (S. M. Rump,
-  "Verification of positive definiteness", BIT 46, 2006).  When sigma <= 0
-  (a disconnected graph, or lambda2 within the margin of 0), lo = 0 needs
-  no test, since A is positive semidefinite.
+  sigma and r lie on a dyadic grid of unit 2^-e fine enough that M(sigma) -
+  r*I is exact in binary64, and r rounds gamma_{n+1}/(1 - gamma_{n+1}) *
+  tr M plus an underflow term of 4(2n + 4 + top) * 2^-1074 up to the grid.
+  In units, that first term is a rational X with denominator below 2^53,
+  and the underflow term is below 2^-1000, so r/unit = floor(X) + 1
+  whether or not X is an integer.  A floating-point Cholesky factorization
+  of M(sigma) - r*I that runs to completion then proves M(sigma) positive
+  definite, for any summation order, blocking or fused multiply-add (S. M.
+  Rump, "Verification of positive definiteness", BIT 46, 2006).  When
+  sigma <= 0 (a disconnected graph, or lambda2 within the margin of 0),
+  lo = 0 needs no test, since A is positive semidefinite.
+
+The estimate, hi, TOL and the grid are all dyadic rationals p/2^k, so sigma,
+r and `error_bound` are computed in integers and rounded to floats by
+correctly rounded int/int division.  A itself is built as floats whose
+zero entries are -0.0, as negating the float Laplacian gives them:
+LAPACK's reflector signs read the sign of zero, and with +0.0 the
+estimate's last bits moved on most graphs of the test corpus.
 
 sigma sits max(TOL/2, 3r) below the estimate, so `error_bound` is about
 max(TOL/2, 3r): at most TOL = 1e-9 until 3r reaches it.  r grows like
@@ -37,6 +47,8 @@ so a float evaluation loses its leading digits for small lambda2.
 lambda2, in rationals with an integer square-root bracket; the ends of the
 certified lambda2 interval, taken as exact rationals, then give a proven
 `ceiling`, on graphs of at least MIN_VERTICES vertices.
+`spectral_gonality_bound` evaluates the same brackets on integer
+numerators and denominators (`_bracket`), at each end in lowest terms.
 
 One result type: the `SpectralBound` of `spectral_gonality_bound` is the
 `SpectralSummary` of `algebraic_connectivity` extended by the bound.
@@ -48,7 +60,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from gonlab.graph import Multigraph, laplacian
+from gonlab.graph import Multigraph
 
 TOL = 1e-9
 """The `error_bound` aimed for; a larger Cholesky rounding margin overrides it."""
@@ -80,10 +92,29 @@ class SpectralSummary:
         return (max(self.lambda2 - self.error_bound, 0.0), self.lambda2 + self.error_bound)
 
 
-def _round_up(q: Fraction) -> float:
-    """The least float >= q."""
-    f = float(q)
-    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+def _round_up(p: int, q: int) -> float:
+    """The least float >= p/q, for integers p and q > 0.  int/int division
+    is correctly rounded, so the nearest float is the answer or one step
+    below it."""
+    f = p / q
+    a, b = f.as_integer_ratio()
+    return f if a * q >= p * b else math.nextafter(f, math.inf)
+
+
+def _psd_matrix(g: Multigraph):
+    """A = -L as floats, built directly.  Its zeros are -0.0, as in the
+    negated float Laplacian: LAPACK's Householder reflectors take their
+    signs from the entries, zeros included, so +0.0 would move the last
+    bits of lambda2 and of the Fiedler vector."""
+    import numpy as np
+
+    psd = np.full((g.n, g.n), -0.0)
+    for u, v, mult in g.edges:
+        psd[u, v] = psd[v, u] = -mult
+    for v, val in enumerate(g._val):
+        if val:
+            psd[v, v] = val
+    return psd
 
 
 def algebraic_connectivity(g: Multigraph) -> SpectralSummary:
@@ -100,7 +131,7 @@ def algebraic_connectivity(g: Multigraph) -> SpectralSummary:
     if g.n < 2:
         raise ValueError("algebraic connectivity needs at least 2 vertices")
     n = g.n
-    psd = -laplacian(g).astype(float)
+    psd = _psd_matrix(g)
     values, vectors = np.linalg.eigh(psd)
     estimate = max(float(values[1]), 0.0)
     fiedler = vectors[:, 1].tolist()
@@ -109,35 +140,58 @@ def algebraic_connectivity(g: Multigraph) -> SpectralSummary:
     total = sum(x)
     y = [n * xi - total for xi in x]
     quadratic_form = sum(mult * (y[u] - y[v]) ** 2 for u, v, mult in g.edges)
-    hi = _round_up(Fraction(quadratic_form, sum(yi * yi for yi in y)))
+    hi = _round_up(quadratic_form, sum(yi * yi for yi in y))
 
     # c > sigma/n for every sigma <= estimate; `top` bounds |M(sigma) - r*I|
-    # and 2m + n*c bounds tr M(sigma) for sigma > 0
+    # and 2m + n*c bounds tr M(sigma) for sigma > 0.  sigma and r are
+    # counted in units of 2^-e.
     c = math.floor(estimate / n) + 1
     top = g.max_valence + c + math.ceil(estimate)
-    unit = Fraction(1, 2 ** (52 - top.bit_length()))
-    gamma = Fraction(n + 1, 2**53 - n - 1)
-    margin = gamma / (1 - gamma) * (2 * g.m + n * c) + Fraction(4 * (2 * n + 4 + top), 2**1074)
-    r = math.ceil(margin / unit) * unit
-    sigma = math.floor((Fraction(estimate) - max(Fraction(TOL) / 2, 3 * r)) / unit) * unit
-    lo = Fraction(0)
+    e = 52 - top.bit_length()
+    # r = margin rounded up to the grid, margin = gamma/(1 - gamma) * (2m +
+    # n*c) plus an underflow term below 2^-1000 units, where gamma/(1 -
+    # gamma) = (n + 1)/(2^53 - 2n - 2): so r = floor(the first term) + 1
+    r = ((n + 1) * (2 * g.m + n * c) << e) // (2**53 - 2 * n - 2) + 1
+    est_p, est_q = estimate.as_integer_ratio()
+    tol_p, tol_q = TOL.as_integer_ratio()
+    tol_q *= 2  # TOL/2
+    if tol_p << e > 3 * r * tol_q:  # sigma = floor((estimate - TOL/2) * 2^e)
+        sigma = ((est_p * tol_q - tol_p * est_q) << e) // (est_q * tol_q)
+    else:  # sigma = floor((estimate - 3r) * 2^e)
+        sigma = (est_p << e) // est_q - 3 * r
+    lo = 0
     if sigma > 0:
         shifted = psd + c
-        shifted[np.diag_indices(n)] -= float(sigma + r)
+        shifted[np.diag_indices(n)] -= (sigma + r) / (1 << e)
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            raise RuntimeError(f"Cholesky test failed to certify lambda2 > {float(sigma)}") from None
+            bound = sigma / (1 << e)
+            raise RuntimeError(f"Cholesky test failed to certify lambda2 > {bound}") from None
         lo = sigma
-    error = max(Fraction(estimate) - lo, Fraction(hi) - Fraction(estimate))
+    # error = max(estimate - lo, hi - estimate) over the common denominator
+    hi_p, hi_q = hi.as_integer_ratio()
+    den = max(est_q, hi_q, 1 << e)  # all powers of 2
+    est = est_p * (den // est_q)
+    error = max(est - lo * (den >> e), hi_p * (den // hi_q) - est)
     return SpectralSummary(
         n=n,
         d_max=g.max_valence,
         lambda2=estimate,
-        error_bound=_round_up(error),
+        error_bound=_round_up(error, den),
         connected=g.is_connected(),
         fiedler_vector=tuple(fiedler),
     )
+
+
+def _bracket(a: int, b: int, d: int, n: int) -> tuple[int, int, int]:
+    """(numerator, low_den, high_den): the bracket numerator/low_den <=
+    f(lam) <= numerator/high_den of `gonality_bound_bracket` at lam = a/b.
+    The square-root bracket depends on how lam is written, so a/b must be
+    in lowest terms, as a `Fraction` holds it."""
+    r = math.isqrt((9 * a * a + 14 * d * a * b + 9 * d * d * b * b) << (2 * ROOT_BITS))
+    rational = (7 * a + 9 * d * b) << ROOT_BITS
+    return (16 * n * a) << ROOT_BITS, rational + 3 * (r + 1), rational + 3 * r
 
 
 def gonality_bound_bracket(lam: Fraction, d: int, n: int) -> tuple[Fraction, Fraction]:
@@ -154,11 +208,8 @@ def gonality_bound_bracket(lam: Fraction, d: int, n: int) -> tuple[Fraction, Fra
     """
     if lam < 0:
         raise ValueError("lambda2 must be non-negative")
-    a, b = lam.numerator, lam.denominator
-    r = math.isqrt((9 * a * a + 14 * d * a * b + 9 * d * d * b * b) << (2 * ROOT_BITS))
-    rational = (7 * a + 9 * d * b) << ROOT_BITS
-    numerator = (16 * n * a) << ROOT_BITS
-    return Fraction(numerator, rational + 3 * (r + 1)), Fraction(numerator, rational + 3 * r)
+    numerator, low_den, high_den = _bracket(lam.numerator, lam.denominator, d, n)
+    return Fraction(numerator, low_den), Fraction(numerator, high_den)
 
 
 @dataclass(frozen=True)
@@ -205,13 +256,22 @@ def spectral_gonality_bound(g: Multigraph) -> SpectralBound:
     if not summary.connected:
         raise ValueError("spectral gonality bound requires a connected graph")
     d, n = summary.d_max, summary.n
-    lam, err = Fraction(summary.lambda2), Fraction(summary.error_bound)
-    lower, _ = gonality_bound_bracket(max(lam - err, Fraction(0)), d, n)
-    _, upper = gonality_bound_bracket(lam + err, d, n)
+
+    def at(p: int, q: int) -> tuple[int, int, int]:
+        """`_bracket` at lam = max(p/q, 0), taken in lowest terms."""
+        p = max(p, 0)
+        common = math.gcd(p, q)
+        return _bracket(p // common, q // common, d, n)
+
+    lam_p, lam_q = summary.lambda2.as_integer_ratio()
+    err_p, err_q = summary.error_bound.as_integer_ratio()
+    value, value_den, _ = at(lam_p, lam_q)
+    lower, lower_den, _ = at(lam_p * err_q - err_p * lam_q, lam_q * err_q)
+    upper, _, upper_den = at(lam_p * err_q + err_p * lam_q, lam_q * err_q)
     return SpectralBound(
         **vars(summary),
-        value=float(gonality_bound_bracket(lam, d, n)[0]),
-        low=-_round_up(-lower),
-        high=_round_up(upper),
-        ceiling=math.ceil(lower) if n >= MIN_VERTICES else 1,
+        value=value / value_den,
+        low=-_round_up(-lower, lower_den),
+        high=_round_up(upper, upper_den),
+        ceiling=-(-lower // lower_den) if n >= MIN_VERTICES else 1,
     )

@@ -16,6 +16,9 @@ the spectral bound's ceiling through the squared paper form (not the
 conjugate form `gonlab.spectral` evaluates), and components,
 bipartiteness and BFS distances through union-find, 2-colouring and
 frontier sweeps over the edge list (not the bitmask walk of `gonlab.graph`).
+One entry is a reference rather than an independent route: the spectral
+certificate in `Fraction`s, which the integer arithmetic of
+`gonlab.spectral` must match bit for bit.
 Only small graphs are in scope; nothing here needs to be fast.
 """
 
@@ -73,6 +76,29 @@ class LatticeOracle:
 
     def equivalent(self, c1, c2) -> bool:
         return self.member([x - y for x, y in zip(c1, c2)])
+
+    def class_key(self, chips) -> tuple:
+        """A key that two divisors share exactly when they are equivalent:
+        per component, the degree and A c' mod q, since c1 - c2 is in the
+        lattice exactly when both agree."""
+        return tuple(
+            (
+                sum(chips[v] for v in comp),
+                *(sum(c * chips[v] for c, v in zip(row, rest)) % q for row in scaled),
+            )
+            for comp, rest, scaled, q in self.parts
+        )
+
+
+def positive_rank_classes(g: Multigraph, degree: int, oracle: LatticeOracle) -> set[tuple]:
+    """The `class_key`s of the degree-`degree` classes of positive rank by
+    definition: those whose effective members, together, hold a chip on
+    every vertex."""
+    covered: dict[tuple, int] = {}
+    for e in all_effective(g.n, degree):
+        key = oracle.class_key(e)
+        covered[key] = covered.get(key, 0) | sum(1 << v for v, c in enumerate(e) if c)
+    return {key for key, mask in covered.items() if mask == (1 << g.n) - 1}
 
 
 def all_effective(n: int, degree: int):
@@ -326,6 +352,60 @@ def spectral_ceiling_is(lam: Fraction, d: int, n: int, c: int) -> bool:
         return 9 * a <= (b + 2 * lam * Fraction(t, n)) ** 2
 
     return at_most(c) and not at_most(c - 1)
+
+
+def reference_spectral_certificate(g: Multigraph, estimate: float, fiedler) -> dict:
+    """The numbers `gonlab.spectral` derives from LAPACK's lambda2 estimate
+    and Fiedler vector, recomputed term by term in `Fraction`s as its
+    module docstring states them, the 2^-1074 underflow term included:
+    `error_bound`, and on a connected graph the bound's `value`, `low`,
+    `high` and `ceiling`.  This is a reference for the integer code, not
+    an independent proof; `lambda2_in` and `spectral_ceiling_is` are those.
+    """
+    n = g.n
+
+    def round_up(q: Fraction) -> float:
+        f = float(q)
+        return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+
+    x = [round(v * 2**40) for v in fiedler]
+    total = sum(x)
+    y = [n * xi - total for xi in x]
+    quadratic_form = sum(mult * (y[u] - y[v]) ** 2 for u, v, mult in g.edges)
+    hi = round_up(Fraction(quadratic_form, sum(yi * yi for yi in y)))
+
+    d = max(g.val(v) for v in range(n))
+    c = math.floor(estimate / n) + 1
+    top = d + c + math.ceil(estimate)
+    unit = Fraction(1, 2 ** (52 - top.bit_length()))
+    gamma = Fraction(n + 1, 2**53 - n - 1)
+    margin = gamma / (1 - gamma) * (2 * g.m + n * c) + Fraction(4 * (2 * n + 4 + top), 2**1074)
+    r = math.ceil(margin / unit) * unit
+    sigma = math.floor((Fraction(estimate) - max(Fraction(1e-9) / 2, 3 * r)) / unit) * unit
+    lo = max(sigma, Fraction(0))
+    error_bound = round_up(max(Fraction(estimate) - lo, Fraction(hi) - Fraction(estimate)))
+    result = {"lambda2": estimate, "error_bound": error_bound}
+    if len(edge_components(g)) != 1:
+        return result
+
+    def bracket(lam: Fraction) -> tuple[Fraction, Fraction]:  # 64 bits after the point
+        a, b = lam.numerator, lam.denominator
+        root = math.isqrt((9 * a * a + 14 * d * a * b + 9 * d * d * b * b) << 128)
+        rational = (7 * a + 9 * d * b) << 64
+        numerator = (16 * n * a) << 64
+        return (
+            Fraction(numerator, rational + 3 * (root + 1)),
+            Fraction(numerator, rational + 3 * root),
+        )
+
+    lam, err = Fraction(estimate), Fraction(error_bound)
+    lower = bracket(max(lam - err, Fraction(0)))[0]
+    return result | {
+        "value": float(bracket(lam)[0]),
+        "low": -round_up(-lower),
+        "high": round_up(bracket(lam + err)[1]),
+        "ceiling": math.ceil(lower) if n >= 3 else 1,
+    }
 
 
 def edge_components(g: Multigraph, excluded=frozenset()) -> list[frozenset[int]]:

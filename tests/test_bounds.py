@@ -12,6 +12,7 @@ import pytest
 
 from conftest import RecordingBudget, cubic_bounds_inputs
 from gonlab.bounds import (
+    _transform_floor,
     cheeger_grid_bound,
     expansion_pipeline_constant,
     full_report,
@@ -440,6 +441,29 @@ class SeparatorCapBudget(SearchBudget):
         return SearchBudget().meter(what)
 
 
+def test_transform_floor_never_exceeds_b_u(corpus):
+    """The floor the separator rows start from is a lower bound on B_u on
+    any multigraph: against brute force on every corpus graph (irregular
+    and multigraphs among them) and on configuration-model multigraphs of
+    11 and 12 vertices, at every grid u."""
+    samples = [
+        sample_configuration(ConfigModelParams(k=k, n=n, seed=7), i)
+        for k, n in ((3, 12), (4, 11), (4, 12), (5, 12))
+        for i in range(3)
+    ]
+    graphs = corpus + [g for g in samples if g.is_connected()]
+    assert sum(any(mult > 1 for _, _, mult in g.edges) for g in graphs) >= 20
+    assert sum(g.regularity() is None for g in graphs) >= 20
+    tight = 0
+    for g in graphs:
+        for point in cheeger_profile(g).points:
+            floor = _transform_floor(g, point.value)
+            exact = brute_b_u(g, point.j)
+            assert floor <= exact, (g.edges, point.j)
+            tight += floor == exact
+    assert tight >= 100
+
+
 def test_full_report_notes_stopped_rows_in_ascending_u(pappus):
     """Rows are searched from u = 1/2 down, but their notes read up the
     grid.  A stopped row that does not pin its minimum drops the separator
@@ -447,7 +471,7 @@ def test_full_report_notes_stopped_rows_in_ascending_u(pappus):
     stopped_rows = 0
     for g in [pappus] + cubic_bounds_inputs(8):
         full = full_report(g)
-        for cap in (10, 50, 300):
+        for cap in (3, 10, 50, 300):
             budget = SeparatorCapBudget(max_steps=cap)
             report = full_report(g, budget)
             us = [Fraction(m.group(1)) for m in map(ROW_NOTE.match, report.notes) if m]
@@ -505,7 +529,7 @@ CUBIC_16 = Multigraph.from_edges(
             [
                 ("cheeger scan", 4232),
                 ("separator search u=1/2", 4056),
-                ("separator search u=4/9", 2750),
+                ("separator search u=4/9", 0),
                 ("separator search u=1/18", 3),
             ],
         ),
@@ -513,7 +537,7 @@ CUBIC_16 = Multigraph.from_edges(
             CUBIC_16,
             [
                 ("cheeger scan", 652),
-                ("separator search u=1/2", 261),
+                ("separator search u=1/2", 0),
                 ("separator search u=7/16", 672),
             ],
         ),
@@ -532,7 +556,11 @@ def test_full_report_work_counts_are_pinned(g, counts):
     beat the genus bound, so it runs; on cubic16 none could, and it does
     not.  The scan starts
     from the sweep cuts of the Fiedler vector, and cubic16's row 8 from a
-    witness boundary below its target; each meter names its row's u."""
+    witness boundary below its target; each meter names its row's u.  A
+    searched row whose floor (the larger of the rows above's lower bound
+    and the transform bound) reaches its seed opens its meter and takes no
+    step: Pappus row 8, whose boundary seed of 6 meets row 9's bound, and
+    cubic16 row 8, whose boundary seed of 4 meets the transform bound."""
     budget = RecordingBudget()
     full_report(g, budget)
     assert [(m.what, m.count) for m in budget.meters] == counts
@@ -543,7 +571,9 @@ def test_cubic_bounds_work_totals_are_pinned():
     cubic-bounds workload, summed by meter name.  A change to a search
     tree, a seed or a branch order shows here as a work count, next to
     the benchmark's wall time.  Only rows 8 and 7 (u = 1/2, 7/16) search
-    on these inputs; every other row is settled."""
+    on these inputs; every other row is settled.  Rows whose floor meets
+    their seed take no step, and the others stop at a separator of the
+    floor's size."""
     totals = Counter()
     for g in cubic_bounds_inputs(64):
         budget = RecordingBudget()
@@ -552,6 +582,6 @@ def test_cubic_bounds_work_totals_are_pinned():
             totals[m.what] += m.count
     assert totals == {
         "cheeger scan": 22247,
-        "separator search u=1/2": 7196,
-        "separator search u=7/16": 5518,
+        "separator search u=1/2": 5855,
+        "separator search u=7/16": 4066,
     }

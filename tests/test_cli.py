@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 import subprocess
 import sys
 
@@ -403,6 +404,40 @@ def test_python_dash_m_runs_the_cli(argv, code, capsys, cli_env):
     )
     assert (proc.returncode, proc.stdout) == run_cli(capsys, *argv, "--format", "json")
     assert proc.returncode == code
+
+
+def test_reader_that_stops_early_is_not_an_error(cli_env):
+    """`gonlab ... | head -c 1`: the reader takes one byte and closes the
+    pipe.  The command exits 0 and prints nothing on stderr.  Unbuffered,
+    `print` writes the line and its newline apart, so a write usually
+    comes after the close."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gonlab", "pappus-demo", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(cli_env, PYTHONUNBUFFERED="1"),
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_is_not_an_error(unbuffered, cli_env):
+    """A pipe whose reader is gone before the first byte fails every write,
+    whether it comes from `print` (unbuffered) or from the final flush."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gonlab", "pappus-demo", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env=dict(cli_env, PYTHONUNBUFFERED=unbuffered),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 IMPORT_FOOTPRINT = """

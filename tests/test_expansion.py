@@ -269,6 +269,28 @@ def test_b_u_below_proves_the_optimum_or_the_target(corpus):
                         assert cert.optimal == (cert.size == c)
 
 
+def test_b_u_floor_returns_the_certificate_of_the_whole_search(corpus):
+    """A floor at the exact B_u changes no certificate, with or without a
+    seed or a target, and adds no step.  A floor at or above the target
+    refutes it with no step: the certificate has `lower_bound` = `below`,
+    as the whole search gives."""
+    for g in corpus:
+        for t in range(1, g.n // 2 + 1):
+            u = Fraction(t, g.n)
+            exact = b_u(g, u).size  # optimal, as the brute-force test above checks
+            for seed in (frozenset(), frozenset(range(1, g.n))):
+                for below in (None, 1, exact - 1, exact, exact + 1):
+                    if below is not None and below < 1:
+                        continue
+                    whole, floored = RecordingBudget(), RecordingBudget()
+                    cert = b_u(g, u, whole, seed=seed, below=below)
+                    assert b_u(g, u, floored, seed=seed, below=below, floor=exact) == cert
+                    assert floored.meters[0].count <= whole.meters[0].count
+                    if below is not None and below <= exact:
+                        assert cert.lower_bound == below
+                        assert floored.meters[0].count == 0
+
+
 def test_b_u_certificate_components_verified(corpus):
     for g in corpus[:20]:
         j = max(1, g.n // 3)

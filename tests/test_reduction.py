@@ -19,10 +19,12 @@ from gonlab.reduction import (
 )
 from oracles import (
     LatticeOracle,
+    all_effective,
     brute_gonality,
     brute_positive_rank,
     brute_rank_at_least,
     burns_from,
+    positive_rank_classes,
 )
 
 
@@ -208,6 +210,71 @@ def test_rank_test_stops_where_the_full_reduction_decides(corpus):
                 found = _positive_rank_obstruction(g, chips, order, lambda: None)
                 assert found == expected
                 assert (found is None) == brute_positive_rank(g, chips, oracle)
+
+
+def test_early_exits_agree_with_the_lattice(corpus):
+    """Both early exits are sound on every corpus graph (n <= 10) up to
+    degree 4: a try of `_reduced_divisors` that stops once its vertex
+    burns still yields exactly the candidates that burn completely from 0,
+    and a rank test whose first pass stops once vertex 0 burns refutes
+    exactly the candidates of no positive rank by definition."""
+    assert max(g.n for g in corpus) == 10
+    positive = refuted = 0
+    for g in corpus:
+        oracle = LatticeOracle(g)
+        order = _vertex_order(g)
+        for degree in range(1, 5):
+            classes = positive_rank_classes(g, degree, oracle)
+            candidates = list(_reduced_divisors(g, degree))
+            assert candidates == [
+                c for c in compositions_colex(degree, g.n) if c[0] >= 1 and burns_from(g, c, 0)
+            ]
+            for chips in candidates:
+                holds = _positive_rank_obstruction(g, chips, order, lambda: None) is None
+                assert holds == (oracle.class_key(chips) in classes)
+                positive += holds
+                refuted += not holds
+    assert positive > 100 and refuted > 1000
+
+
+def test_positive_rank_classes_match_the_definition(corpus):
+    """The class-key oracle of the test above against `brute_positive_rank`."""
+    for g in [g for g in corpus if g.n <= 5][:10]:
+        oracle = LatticeOracle(g)
+        for degree in (1, 2, 3):
+            classes = positive_rank_classes(g, degree, oracle)
+            for chips in all_effective(g.n, degree):
+                assert (oracle.class_key(chips) in classes) == brute_positive_rank(g, chips, oracle)
+
+
+# the 4-cycle 0-2-1-3-0 with edges 0-3 and 1-2 doubled
+NOT_REDUCED = Multigraph.from_edges(4, [(0, 2), (0, 3), (0, 3), (1, 2), (1, 2), (1, 3)])
+
+
+def test_positive_rank_of_effective_divisors_that_are_not_0_reduced(corpus):
+    """`has_positive_rank` reduces to the full 0-reduced form, the one
+    precondition of the rank test's exit at vertex 0.  On NOT_REDUCED,
+    (1, 1, 1, 0) has a chip on 0 but is not 0-reduced.  A fire from vertex
+    3 burns 0 without burning everything, yet the 3-reduced form holds a
+    chip on 3: an exit at vertex 0 there would report a false obstruction."""
+    chips = (1, 1, 1, 0)
+    d = Divisor(NOT_REDUCED, chips)
+    assert not burns_from(NOT_REDUCED, chips, 0)
+    burn = dhar_burn(d, 3)
+    assert 0 in burn.burnt and not burn.fully_burnt
+    assert v_reduce(d, 3)[3] >= 1
+    assert has_positive_rank(d) and brute_positive_rank(NOT_REDUCED, chips)
+    checked = 0
+    for g in [NOT_REDUCED] + [g for g in corpus if g.n <= 7]:
+        oracle = LatticeOracle(g)
+        for degree in (2, 3):
+            classes = positive_rank_classes(g, degree, oracle)
+            for chips in all_effective(g.n, degree):
+                if chips[0] >= 1 and not burns_from(g, chips, 0):
+                    holds = has_positive_rank(Divisor(g, chips))
+                    assert holds == (oracle.class_key(chips) in classes)
+                    checked += holds
+    assert checked > 100
 
 
 def test_rank_at_least_zero_is_effectivity():

@@ -11,11 +11,12 @@ from gonlab.graph import Multigraph, laplacian, named_graph
 from gonlab.randgraph import ConfigModelParams, sample_configuration
 from gonlab.spectral import (
     SpectralSummary,
+    _psd_matrix,
     algebraic_connectivity,
     gonality_bound_bracket,
     spectral_gonality_bound,
 )
-from oracles import brute_gonality, lambda2_in, spectral_ceiling_is
+from oracles import brute_gonality, lambda2_in, reference_spectral_certificate, spectral_ceiling_is
 
 
 def test_lambda2_against_numpy(corpus):
@@ -27,6 +28,48 @@ def test_lambda2_against_numpy(corpus):
         x = np.array(s.fiedler_vector)
         assert np.linalg.norm(m @ x - s.lambda2 * x) <= 1e-8
         assert abs(x.sum()) <= 1e-9
+
+
+def _config_samples():
+    """Configuration-model samples of every valence 2 to 5 up to n = 200;
+    some k = 2 samples are disconnected."""
+    return [
+        sample_configuration(ConfigModelParams(k=k, n=n, seed=7), i)
+        for k in (2, 3, 4, 5)
+        for n in (12, 50, 200)
+        for i in (0, 1)
+    ]
+
+
+def _bits(value):
+    """A float by its bits (so -0.0 differs from 0.0), anything else as is."""
+    return value.hex() if isinstance(value, float) else value
+
+
+def test_certificate_matches_the_fraction_reference(corpus, pappus):
+    """Every certified number is bit-identical to the `Fraction` reference
+    computed from the same estimate and Fiedler vector.  The cubic graph
+    on 1000 vertices is one where 3r, not TOL/2, sets sigma."""
+    big = sample_configuration(ConfigModelParams(k=3, n=1000, seed=7))
+    graphs = corpus + [pappus] + _config_samples() + [big]
+    disconnected = 0
+    for g in graphs:
+        got = spectral_gonality_bound(g) if g.is_connected() else algebraic_connectivity(g)
+        disconnected += not g.is_connected()
+        ref = reference_spectral_certificate(g, got.lambda2, got.fiedler_vector)
+        assert {key: _bits(getattr(got, key)) for key in ref} == {
+            key: _bits(value) for key, value in ref.items()
+        }
+    assert disconnected >= 1
+    assert algebraic_connectivity(big).error_bound > 1e-9
+
+
+def test_psd_matrix_is_the_negated_float_laplacian(corpus, pappus):
+    """The matrix LAPACK sees, signs of zero included: LAPACK's reflector
+    signs read them, so +0.0 entries would move lambda2's last bits."""
+    graphs = corpus + [pappus, Multigraph(3, ()), Multigraph.from_edges(4, [(0, 1), (2, 3)])]
+    for g in graphs + _config_samples():
+        assert _psd_matrix(g).tobytes() == (-laplacian(g).astype(float)).tobytes()
 
 
 def test_lambda2_nonnegative(corpus):
