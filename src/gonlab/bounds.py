@@ -1,7 +1,6 @@
-"""Assembled gonality bounds: the expansion grid, the regular-graph
-transform, the spectral bound, the tree fact, the two upper bounds, the
-final bracket and, as an optional last stage, the gonality search inside
-that bracket.
+"""Assembled gonality bounds: the expansion grid, the transform bound, the
+spectral bound, the tree fact, the two upper bounds, the final bracket and,
+as an optional last stage, the gonality search inside that bracket.
 
 Two lower-bound families are evaluated over the u-grid:
 
@@ -11,9 +10,9 @@ Two lower-bound families are evaluated over the u-grid:
   row only for separators below that target, from u = 1/2 down: B_u
   does not increase with u, so a lower bound proven at a larger u can
   settle a row with no search at all;
-* cheeger grid (k-regular only): max over u of min{h_u/(k+h_u)*n,
-  h(G)*u*n} - the transform h_u/(k+h_u)*n is itself a lower bound on B_u,
-  so this row never exceeds the separator row.
+* cheeger grid: max over u of min{h_u*n/(D+h_u), h(G)*u*n}, D the maximum
+  valence - the transform h_u*n/(D+h_u) is itself a lower bound on B_u on
+  any multigraph, so this row never exceeds the separator row.
 
 `grid_rows` alone evaluates the rows (h*u*n, the transform, both row
 minima); the grid bounds and `full_report` fold its columns.  All grid
@@ -82,18 +81,17 @@ def grid_rows(
     """The u-grid lines of the report, one per profile point, in ascending u.
 
     A point without a certificate in `separators` (keyed by j) gets None in
-    its separator columns; the transform columns are None on irregular
-    graphs.  A certificate must pin the row minimum min{B_u, h*u*n}: either
-    it is optimal, or its `lower_bound` is at least h*u*n, which makes the
-    row minimum h*u*n.  `separator_size` is B_u where the certificate is
-    optimal and None elsewhere; `row_min_separator` is exact in both cases.
-    Refuses a profile of another graph and any other certificate: an upper
-    bound on B_u is not a valid gonality lower bound.  Ratios are compared
-    by integer cross-multiplication; each printed `Fraction` is built once.
+    its separator columns.  A certificate must pin the row minimum
+    min{B_u, h*u*n}: either it is optimal, or its `lower_bound` is at least
+    h*u*n, which makes the row minimum h*u*n.  `separator_size` is B_u
+    where the certificate is optimal and None elsewhere;
+    `row_min_separator` is exact in both cases.  Refuses a profile of
+    another graph and any other certificate: an upper bound on B_u is not
+    a valid gonality lower bound.  Ratios are compared by integer
+    cross-multiplication; each printed `Fraction` is built once.
     """
     if profile.n != g.n:
         raise ValueError("profile belongs to a different graph")
-    k = g.regularity()
     hn, hd = profile.h.numerator, profile.h.denominator
     rows = []
     for point in profile.points:
@@ -105,12 +103,9 @@ def grid_rows(
                 f"separator certificate at u={cert.u} is not optimal and its lower "
                 f"bound {cert.lower_bound} is below h*u*n = {h_times_un}"
             )
-        transform = row_min_transform = None
-        if k is not None:  # h_u/(k+h_u)*n = a*n/(k*b + a) for h_u = a/b
-            a, b = point.value.numerator, point.value.denominator
-            tn, td = a * g.n, k * b + a
-            transform = Fraction(tn, td)
-            row_min_transform = transform if tn * hd <= hn * j * td else h_times_un
+        tn, td = _transform(g, point.value)
+        transform = Fraction(tn, td)
+        row_min_transform = transform if tn * hd <= hn * j * td else h_times_un
         row_min_separator = None
         if cert is not None:  # size >= lower_bound >= h*u*n where it is not optimal
             row_min_separator = Fraction(cert.size) if cert.size * hd <= hn * j else h_times_un
@@ -166,14 +161,14 @@ def _boundary_seed(g: Multigraph, boundaries: list[int], t: int, below: int) -> 
     return frozenset()
 
 
-def _transform_floor(g: Multigraph, h_u: Fraction) -> int:
-    """ceil(h_u*n/(D + h_u)) with D = `max_valence`, a lower bound on B_u
-    at the u of `h_u`.  Every boundary edge of a component left by a
-    separator S ends in S, and each component has at most u*n vertices, so
-    its boundary is at least h_u times its size: h_u*(n - |S|) <= D*|S|.
-    This is the Cheeger grid's transform, on any multigraph."""
+def _transform(g: Multigraph, h_u: Fraction) -> tuple[int, int]:
+    """h_u*n/(D + h_u) with D = `max_valence`, as (numerator, denominator):
+    a lower bound on B_u at the u of `h_u`, on any multigraph.  Every
+    boundary edge of a component left by a separator S ends in S, and each
+    component has at most u*n vertices, so its boundary is at least h_u
+    times its size: h_u*(n - |S|) <= D*|S|."""
     a, b = h_u.numerator, h_u.denominator
-    return -(-a * g.n // (g.max_valence * b + a))
+    return a * g.n, g.max_valence * b + a
 
 
 def _settled(
@@ -221,9 +216,7 @@ def separator_grid_bound(
 
 
 def cheeger_grid_bound(g: Multigraph, profile: CheegerProfile) -> tuple[Fraction, Fraction]:
-    """max over grid u of min{h_u/(k+h_u)*n, h(G)*u*n} for k-regular graphs."""
-    if g.regularity() is None:
-        raise ValueError("cheeger grid bound applies to regular graphs only")
+    """max over grid u of min{h_u*n/(D+h_u), h(G)*u*n}, D the maximum valence."""
     return _first_max(grid_rows(g, profile, {}), "row_min_transform")
 
 
@@ -301,38 +294,32 @@ def full_report(
     value or a witness.  The graph's greedy set, alpha cap and bipartite
     test are computed once, on the graph; the lower and upper stages share
     no search result.  The rows run from u = 1/2 down to u = 1/n, and each
-    needs only B_u >= ceil(h*j) or the optimum below it.  A row whose B_u
-    is already known to reach ceil(h*j) is settled with no search: a row
-    at a larger u proved that lower bound, or, at row 1, n -
-    `independence_cap` bounds the cover size B_{1/n} = n - alpha from
-    below.  Its certificate is the greedy set's complement, a vertex cover
-    and so a separator at every u, with that `lower_bound`.  Every other
-    row searches only for separators below ceil(h*j): if none exists,
-    B_u >= h*j and the row minimum is h*j; if one does, the search runs on
-    to the optimum, which is then below h*j and is the row minimum.  Such a
-    row starts from the smallest inner or outer vertex boundary of a Cheeger
-    witness that is below ceil(h*j) and leaves no component above j, where
-    there is one (it proves the optimum lies below the target, so the row
-    runs to it as before), and from the greedy cover otherwise.  A boundary
-    at or above the target is never a seed: it would print a size where the
-    row prints null.  Each searched row also gets a floor (`b_u`'s
-    `floor`), the larger of `lb` and the transform bound ceil(h_u*n/(D +
-    h_u)) with D = `max_valence` (`_transform_floor`), which holds on any
-    multigraph.  A row whose floor reaches its target or its seed opens
-    its meter but searches nothing, and any row stops once it finds a
-    separator at its floor; the certificates are those of the search
-    without a floor.  The minimum vertex cover itself is searched only by
-    the independence bound (`gonality.independence_upper_bound`), in the
-    upper-bound stage, with n - `independence_cap` as its floor.  A
-    Cheeger scan stopped by the budget, or a separator search whose
-    certificate does not pin its row minimum, is excluded from the
-    lower-bound fold (soundness firewall); it, or a stopped vertex-cover
-    search, is recorded in `notes` (rows in ascending u) and flags
-    `budget_limited`.  On fewer than 3 vertices the spectral bound is not a
-    theorem; its ceiling is then 1 and `notes` says so.  A degree-1 divisor
-    has positive rank only on a tree (Baker and Norine, 2007), so `lower` is
-    at least 2 from genus 1 on.  A negative `exact_cheeger_cap` is a
-    ValueError.
+    needs only B_u >= ceil(h*j) or the optimum below it.  B_u does not
+    increase with u, so the report keeps one running floor `lb` on B_u,
+    which takes in the lower bound of every row above, each row's
+    transform ceil(h_u*n/(D + h_u)) (`_transform`) and, at row 1, n -
+    `independence_cap`, which bounds B_{1/n} = n - alpha.  A row is settled
+    with no search exactly when lb >= ceil(h*j); its certificate is the
+    greedy set's complement, a vertex cover and so a separator at every u,
+    with lower bound lb.  Every other row calls `b_u` with target
+    ceil(h*j) and floor lb: if no separator lies below the target, the row
+    minimum is h*j; if one does, the search runs on to the optimum, which
+    is then the row minimum.  Such a row starts from the smallest inner or
+    outer vertex boundary of a Cheeger witness that is below ceil(h*j) and
+    leaves no component above j, where there is one, and from the greedy
+    cover otherwise; a boundary at or above the target would print a size
+    where the row prints null.  The floor changes step counts, never a
+    certificate.  The minimum vertex cover itself is searched only by the
+    independence bound (`gonality.independence_upper_bound`), in the
+    upper-bound stage.  A Cheeger scan stopped by the budget, or a
+    separator search whose certificate does not pin its row minimum, is
+    excluded from the lower-bound fold (soundness firewall); it, or a
+    stopped vertex-cover search, is recorded in `notes` (rows in ascending
+    u) and flags `budget_limited`.  On fewer than 3 vertices the spectral
+    bound is not a theorem; its ceiling is then 1 and `notes` says so.  A
+    degree-1 divisor has positive rank only on a tree (Baker and Norine,
+    2007), so `lower` is at least 2 from genus 1 on.  A negative
+    `exact_cheeger_cap` is a ValueError.
 
     `gonality` adds the search as the last stage, and implies the upper
     bounds: the ascending search of `gonality.exact_gonality` runs from
@@ -372,21 +359,23 @@ def full_report(
         certs = {}
         # B_u does not increase with u, so a lower bound proven at one row
         # holds at every row below it: run down from u = 1/2, keeping in `lb`
-        # the largest one so far, and settle a row it already lifts to
-        # ceil(h*j) without a search
+        # the largest one so far (a searched row's, a transform, n - alpha_cap
+        # at row 1), and settle a row it already lifts to ceil(h*j) without a
+        # search
         hn, hd = profile.h.numerator, profile.h.denominator
         boundaries = _witness_boundaries(g, profile)
         lb = 0
         for point in reversed(profile.points):
             below = -(-hn * point.j // hd)
+            tn, td = _transform(g, point.value)
+            lb = max(lb, -(-tn // td))
             if point.j == 1:  # B_{1/n} = n - alpha
                 lb = max(lb, g.n - independence_cap(g))
             if lb >= below:
                 certs[point.j] = _settled(g, point.u, seed, lb)
             else:
                 row_seed = _boundary_seed(g, boundaries, point.j, below) or seed
-                floor = max(lb, _transform_floor(g, point.value))
-                certs[point.j] = b_u(g, point.u, budget, seed=row_seed, below=below, floor=floor)
+                certs[point.j] = b_u(g, point.u, budget, seed=row_seed, below=below, floor=lb)
                 lb = max(lb, certs[point.j].lower_bound)
         for point in profile.points:
             cert = certs[point.j]
@@ -403,8 +392,6 @@ def full_report(
     # the separator bound is reported only when every row minimum is pinned
     sep_bound = _first_max(rows, "row_min_separator") if len(separators) == len(rows) else None
     cheeger_bound = _first_max(rows, "row_min_transform")
-    if k is None:
-        notes.append("graph is not regular: cheeger grid bound inapplicable")
 
     if spectral is not None and spectral.note is not None:
         notes.append(spectral.note)

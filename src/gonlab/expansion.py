@@ -407,18 +407,14 @@ def b_u(
     `below` None the search is unchanged.
 
     `floor` is a lower bound on B_u that the caller has proven, 0 when
-    there is none.  A separator that the search finds at the floor is
-    optimal, so the search stops there; the incumbent changes only on a
-    strict improvement, so the certificate is the one the whole search
-    returns.  With a target, the search asks only whether B_u < `below`,
-    and a floor at or above the smaller of `below` and the incumbent's
-    size answers that before the search starts, so none runs: a floor at
-    or above `below` refutes the target (the incumbent is returned with
-    `lower_bound` = `below`), and an incumbent at the floor is optimal.
-    Either way the certificate is the one the search would return.
-    Without a target the search always starts, so that a step cap still
-    stops it at its first node.  The step meter is named "separator search
-    u=<u>", so the searches of one report can be told apart.
+    there is none.  The search starts only when the smaller of `below` and
+    the incumbent's size is above the floor; otherwise the floor already
+    refutes the target or proves the incumbent optimal.  A separator that
+    the search finds at the floor is optimal, so the search stops there.
+    The incumbent changes only on a strict improvement, so either way the
+    certificate is the one the whole search returns.  The step meter is
+    named "separator search u=<u>", so the searches of one report can be
+    told apart.
     """
     u = Fraction(u)
     if not (0 < u <= Fraction(1, 2)):
@@ -480,7 +476,7 @@ def b_u(
 
     stopped = False
     try:
-        if below is None or best > floor:
+        if best > floor:
             dfs(0, 0, 0)
     except _FloorReached:
         pass

@@ -13,9 +13,9 @@ bound up (see `exact_gonality`).
 
 The independence bound has no search of its own: a minimum vertex cover
 is the separator B_u at u = 1/n, so `expansion.b_u` finds it.  An integer
-bound on alpha (`independence_cap`) decides first whether a cover search
-could beat the genus bound at all; on every non-bipartite cubic graph it
-cannot, and no search runs.
+bound on alpha (`independence_cap`) gives that search its floor n - cap;
+where the floor reaches the genus bound (every non-bipartite cubic graph),
+no cover can beat it, and no search runs.
 """
 
 from __future__ import annotations
@@ -139,13 +139,6 @@ def independence_cap(g: Multigraph) -> int:
     return g._alpha_cap
 
 
-def cover_search_pays(g: Multigraph) -> bool:
-    """Whether a vertex-cover search could give an independence bound below
-    the genus bound: a complement divisor of an independent set I has
-    degree at least n - |I| >= n - `independence_cap`."""
-    return g.n - independence_cap(g) < genus_upper_bound(g)
-
-
 def independence_upper_bound(g: Multigraph, budget: SearchBudget = DEFAULT_BUDGET) -> tuple[int, bool]:
     """Upper bound from the complement of an independent set, which carries
     a positive-rank divisor.  Equals n - alpha(G) on simple graphs.
@@ -157,15 +150,13 @@ def independence_upper_bound(g: Multigraph, budget: SearchBudget = DEFAULT_BUDGE
     = 1 is not even a correct bound.
 
     The set is the complement of a minimum vertex cover, the separator B_u
-    at u = 1/n, searched from the greedy set's complement; it stops once it
-    finds a cover of n - `independence_cap` vertices, which is minimum.
-    This is the only cover search of the library: the bound report's lower
-    stages do not run it.  On multigraphs the weights depend on the set, so
-    the lighter of its and the greedy set's complement divisors is taken:
-    never weaker than the greedy bound.  Where no cover can beat the genus
-    bound (`cover_search_pays` is false), no search runs: the greedy set's
-    complement divisor is the bound, and the smaller of it and the genus
-    bound is the genus bound, as it would be after any search.
+    at u = 1/n, searched by `b_u` from the greedy set's complement with
+    floor n - `independence_cap`.  This is the only cover search of the
+    library.  On multigraphs the weights depend on the set, so the lighter
+    of its and the greedy set's complement divisors is taken: never weaker
+    than the greedy bound.  A complement divisor has degree at least the
+    floor, so where the floor reaches the genus bound no search is made
+    and the greedy set's complement divisor is the bound.
 
     Returns (bound, exact), exact when the cover is certified minimum or no
     cover search was needed; the cover of a stopped search still gives a
@@ -175,10 +166,10 @@ def independence_upper_bound(g: Multigraph, budget: SearchBudget = DEFAULT_BUDGE
     if g.n == 1:
         return 1, True
     greedy = greedy_independent_set(g)
-    if not cover_search_pays(g):
+    floor = g.n - independence_cap(g)  # B_{1/n} = n - alpha
+    if floor >= genus_upper_bound(g):  # no cover beats the genus bound
         return max(1, complement_divisor(g, greedy).degree()), True
     everything = frozenset(range(g.n))
-    floor = g.n - independence_cap(g)  # B_{1/n} = n - alpha
     cover = b_u(g, Fraction(1, g.n), budget, seed=everything - greedy, floor=floor)
     bound = min(complement_divisor(g, s).degree() for s in (everything - cover.separator, greedy))
     return max(1, bound), cover.optimal

@@ -12,7 +12,6 @@ import pytest
 
 from conftest import RecordingBudget, cubic_bounds_inputs
 from gonlab.bounds import (
-    _transform_floor,
     cheeger_grid_bound,
     expansion_pipeline_constant,
     full_report,
@@ -23,7 +22,7 @@ from gonlab.bounds import (
 from gonlab.budget import SearchBudget
 from gonlab.expansion import b_u, cheeger_profile
 from gonlab.gonality import GonalityCertificate, exact_gonality, independence_upper_bound
-from gonlab.graph import Multigraph, named_graph
+from gonlab.graph import Multigraph, load_graph, named_graph
 from gonlab.randgraph import ConfigModelParams, sample_configuration
 from oracles import brute_alpha, brute_b_u, brute_gonality
 
@@ -86,12 +85,6 @@ def test_separator_at_smallest_u_is_vertex_cover(corpus, pappus):
         assert cert.size == g.n - brute_alpha(g)
 
 
-def test_cheeger_grid_refuses_irregular():
-    g = named_graph("path:4")
-    with pytest.raises(ValueError):
-        cheeger_grid_bound(g, cheeger_profile(g))
-
-
 def test_separator_grid_bound_simple_cases():
     for name in ("cycle:6", "k4", "path:5"):
         g = named_graph(name)
@@ -139,9 +132,10 @@ def test_grid_rows_take_a_certificate_that_pins_the_row(pappus):
 
 
 def test_grid_rows_refusals_and_irregular_columns(pappus):
-    path = named_graph("path:6")
+    path = named_graph("path:6")  # valences 1 and 2, so D = 2
     rows = grid_rows(path, cheeger_profile(path), {})
-    assert all(r.transform is None and r.row_min_transform is None for r in rows)
+    assert [r.transform for r in rows] == [r.h_u * 6 / (2 + r.h_u) for r in rows]
+    assert all(r.row_min_transform == min(r.transform, r.h_times_un) for r in rows)
     with pytest.raises(ValueError, match="different graph"):
         grid_rows(named_graph("cycle:10"), cheeger_profile(pappus), {})
     with pytest.raises(ValueError, match="no separator certificates"):
@@ -361,10 +355,14 @@ def test_full_report_without_upper_bounds_runs_no_cover_search(pappus):
 
 
 def test_full_report_notes_a_stopped_cover_search():
-    report = full_report(named_graph("pappus"), SearchBudget(max_steps=0), exact_cheeger_cap=0)
+    """quartic16's greedy cover has 10 vertices, above its floor n -
+    alpha_cap = 9, and the genus bound 17 leaves room, so the cover search
+    starts and the zero cap stops it."""
+    g = load_graph((GOLDEN_DIR / "quartic16.txt").read_text())
+    report = full_report(g, SearchBudget(max_steps=0), exact_cheeger_cap=0)
     assert report.budget_limited
     assert report.notes[-1] == (
-        "vertex-cover search exhausted budget: independence upper bound 9 "
+        "vertex-cover search exhausted budget: independence upper bound 13 "
         "comes from the best cover found"
     )
 
@@ -442,26 +440,50 @@ class SeparatorCapBudget(SearchBudget):
 
 
 def test_transform_floor_never_exceeds_b_u(corpus):
-    """The floor the separator rows start from is a lower bound on B_u on
-    any multigraph: against brute force on every corpus graph (irregular
-    and multigraphs among them) and on configuration-model multigraphs of
-    11 and 12 vertices, at every grid u."""
+    """The ceiling of the `transform` column, h_u*n/(D + h_u) with D the
+    maximum valence, is a lower bound on B_u on any multigraph: against
+    brute force on every corpus graph (irregular and multigraphs among
+    them), on configuration-model multigraphs of 11 and 12 vertices, and on
+    the irregular corpus graphs with their edge of least valence sum
+    doubled, at every grid u."""
     samples = [
         sample_configuration(ConfigModelParams(k=k, n=n, seed=7), i)
         for k, n in ((3, 12), (4, 11), (4, 12), (5, 12))
         for i in range(3)
     ]
-    graphs = corpus + [g for g in samples if g.is_connected()]
-    assert sum(any(mult > 1 for _, _, mult in g.edges) for g in graphs) >= 20
-    assert sum(g.regularity() is None for g in graphs) >= 20
+    doubled = []
+    for g in corpus:
+        if g.regularity() is None:
+            pairs = [(a, b) for a, b, mult in g.edges for _ in range(mult)]
+            pairs.append(min(pairs, key=lambda e: g.val(e[0]) + g.val(e[1])))
+            doubled.append(Multigraph.from_edges(g.n, pairs))
+    graphs = corpus + [g for g in samples if g.is_connected()] + doubled
+    multi = [any(mult > 1 for _, _, mult in g.edges) for g in graphs]
+    irregular = [g.regularity() is None for g in graphs]
+    assert sum(multi) >= 20 and sum(irregular) >= 20
+    assert sum(map(bool.__and__, multi, irregular)) >= 20
     tight = 0
     for g in graphs:
-        for point in cheeger_profile(g).points:
-            floor = _transform_floor(g, point.value)
-            exact = brute_b_u(g, point.j)
-            assert floor <= exact, (g.edges, point.j)
+        for row in grid_rows(g, cheeger_profile(g), {}):
+            floor = math.ceil(row.transform)
+            exact = brute_b_u(g, row.j)
+            assert floor <= exact, (g.edges, row.j)
             tight += floor == exact
     assert tight >= 100
+
+
+def test_cheeger_bound_never_exceeds_gonality(corpus):
+    """The report's Cheeger grid bound is a gonality lower bound on every
+    corpus graph, the 141 irregular ones included (tight on 22 of them)."""
+    fixture = json.loads((GOLDEN_DIR / "corpus_gonality.json").read_text())
+    irregular = tight = 0
+    for g, gon in zip(corpus, fixture, strict=True):
+        bound = math.ceil(full_report(g).cheeger_bound[0])
+        assert bound <= gon, g.edges
+        if g.regularity() is None:
+            irregular += 1
+            tight += bound == gon
+    assert (irregular, tight) == (141, 22)
 
 
 def test_full_report_notes_stopped_rows_in_ascending_u(pappus):
@@ -530,7 +552,7 @@ CUBIC_16 = Multigraph.from_edges(
                 ("cheeger scan", 4232),
                 ("separator search u=1/2", 4056),
                 ("separator search u=4/9", 0),
-                ("separator search u=1/18", 3),
+                ("separator search u=1/18", 0),
             ],
         ),
         (
@@ -548,19 +570,19 @@ def test_full_report_work_counts_are_pinned(g, counts):
     """Every search's step count in the bound report.  The engines' search
     trees, branch orders and tie-breaks decide these counts, so a rewrite
     that keeps them keeps the trees.  Rows run from u = 1/2 down and search
-    only below ceil(h*j); a row whose target a larger u's lower bound, or
-    at row 1 n - alpha_cap, already reaches opens no meter (Pappus searches
-    rows 9 and 8 and settles 7 to 1, cubic16 searches rows 8 and 7 and
-    settles 6 to 1).  The vertex-cover search (u = 1/n) is the independence
-    bound's, after the rows: on Pappus, which is bipartite, a cover could
-    beat the genus bound, so it runs; on cubic16 none could, and it does
-    not.  The scan starts
-    from the sweep cuts of the Fiedler vector, and cubic16's row 8 from a
-    witness boundary below its target; each meter names its row's u.  A
-    searched row whose floor (the larger of the rows above's lower bound
-    and the transform bound) reaches its seed opens its meter and takes no
-    step: Pappus row 8, whose boundary seed of 6 meets row 9's bound, and
-    cubic16 row 8, whose boundary seed of 4 meets the transform bound."""
+    only below ceil(h*j); a row whose target the report's running floor
+    already reaches opens no meter (Pappus searches rows 9 and 8 and
+    settles 7 to 1, cubic16 searches rows 8 and 7 and settles 6 to 1).
+    The vertex-cover search (u = 1/n) is the independence bound's, after
+    the rows: on Pappus, which is bipartite, a cover could beat the genus
+    bound, so it opens its meter, but its greedy cover already has n -
+    alpha_cap = 9 vertices and it takes no step; on cubic16 no cover
+    could, and it opens none.  The scan starts from the sweep cuts of the
+    Fiedler vector, and cubic16's row 8 from a witness boundary below its
+    target; each meter names its row's u.  A searched row whose floor
+    reaches its seed opens its meter and takes no step: Pappus row 8,
+    whose boundary seed of 6 meets row 9's bound, and cubic16 row 8, whose
+    boundary seed of 4 meets the transform bound."""
     budget = RecordingBudget()
     full_report(g, budget)
     assert [(m.what, m.count) for m in budget.meters] == counts

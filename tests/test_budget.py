@@ -14,6 +14,7 @@ or by raising BudgetExceededError.
 
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,7 @@ from gonlab.budget import BudgetExceededError, SearchBudget
 from gonlab.divisor import parse_divisor
 from gonlab.expansion import b_u, cheeger_profile
 from gonlab.gonality import GonalityBracket, exact_gonality, independence_upper_bound
-from gonlab.graph import named_graph
+from gonlab.graph import load_graph, named_graph
 from gonlab.randgraph import ConfigModelParams, sample_configuration
 from gonlab.reduction import find_rank_obstruction
 
@@ -92,6 +93,10 @@ def test_engine_honours_deadline(engine):
     _stops(run, flagged, SearchBudget.with_seconds(DEADLINE_S), DEADLINE_S + SLACK_S)
 
 
+# the greedy cover of 10 lies above the floor n - alpha_cap = 9, so the
+# cover search starts
+QUARTIC_16 = load_graph((Path(__file__).parent / "golden" / "quartic16.txt").read_text())
+
 # tiny inputs: each finishes in milliseconds when no budget stops it
 ZERO_CAP_ENGINES = {
     "cheeger_profile": (lambda budget: cheeger_profile(named_graph("k4"), budget), _never_partial),
@@ -100,7 +105,7 @@ ZERO_CAP_ENGINES = {
         lambda cert: not cert.optimal,
     ),
     "independence_upper_bound": (
-        lambda budget: independence_upper_bound(named_graph("pappus"), budget),
+        lambda budget: independence_upper_bound(QUARTIC_16, budget),
         lambda result: not result[1],
     ),
     "exact_gonality": (

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from gonlab.bounds import DEFAULT_EXACT_CHEEGER_CAP
 from gonlab.cli import build_parser, main
 from gonlab.randgraph import ConfigModelParams, ExperimentCaps, sample_configuration
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -225,12 +228,24 @@ def test_bu_malformed_u_is_an_input_error(u, capsys):
 
 
 def test_bounds_stopped_cover_search_note(capsys):
-    code, payload = run_json(capsys, "bounds", "pappus", "--cheeger-cap", "0", "--budget", "0")
+    code, payload = run_json(
+        capsys, "bounds", str(GOLDEN_DIR / "quartic16.txt"), "--cheeger-cap", "0", "--budget", "0"
+    )
     assert code == 2
     assert payload["notes"][-1] == (
-        "vertex-cover search exhausted budget: independence upper bound 9 "
+        "vertex-cover search exhausted budget: independence upper bound 13 "
         "comes from the best cover found"
     )
+
+
+def test_bounds_cover_at_its_floor_needs_no_budget(capsys):
+    """Pappus's greedy cover has n - alpha_cap = 9 vertices, so it is
+    minimum and the cover search never starts: a zero budget stops
+    nothing."""
+    code, payload = run_json(capsys, "bounds", "pappus", "--cheeger-cap", "0", "--budget", "0")
+    assert code == 0
+    assert payload["upper"] == 9
+    assert not any(note.startswith("vertex-cover search") for note in payload["notes"])
 
 
 def test_reduce_command(capsys):

@@ -17,6 +17,11 @@ bound: `bounds` on the committed edge list `quartic16.txt` (sample 0 of
 `ConfigModelParams(k=4, n=16, seed=7)`), and `random --k 4` samples above
 the gonality cap, whose reports run no upper-bound stage.
 
+`bounds` on `irregular9.txt` pins the Cheeger grid columns of an irregular
+multigraph, where the transform uses the maximum valence: graph 79 of the
+test corpus (`conftest.small_connected_corpus`, a simple Erdos-Renyi
+sample) with its edge 0-4 doubled.
+
 A change that alters any of these outputs on purpose regenerates the
 fixture with the command in `GOLDEN` or `GOLDEN_STOPPED` (plus
 ``--format json`` where the command names no format) and says why in
@@ -34,6 +39,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = {
     "bounds_pappus.json": ("bounds", "pappus"),
     "bounds_pappus.tsv": ("bounds", "pappus", "--format", "tsv"),
+    "bounds_irregular9.json": ("bounds", str(GOLDEN_DIR / "irregular9.txt")),
     "bounds_quartic16.json": ("bounds", str(GOLDEN_DIR / "quartic16.txt")),
     "bu_pappus_u5_18.json": ("bu", "pappus", "--u", "5/18"),
     "bu_pappus_u9_18.json": ("bu", "pappus", "--u", "9/18"),

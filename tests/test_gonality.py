@@ -14,7 +14,6 @@ from gonlab.gonality import (
     GonalityBracket,
     GonalityCertificate,
     complement_divisor,
-    cover_search_pays,
     exact_gonality,
     genus_upper_bound,
     greedy_independent_set,
@@ -243,8 +242,9 @@ def test_independence_bound_is_certified_within_a_deadline(g, expected, searched
     and the non-bipartite cubic graph no cover can beat the genus bound, so
     the gate certifies the greedy complement with no search (on cubic60 it
     is 36, one above n - alpha)."""
-    assert cover_search_pays(g) is searched
-    assert independence_upper_bound(g, SearchBudget.with_seconds(3)) == (expected, True)
+    budget = RecordingBudget.with_seconds(3)
+    assert independence_upper_bound(g, budget) == (expected, True)
+    assert [m.what for m in budget.meters] == ([f"separator search u=1/{g.n}"] if searched else [])
     if not searched:
         assert expected >= genus_upper_bound(g)
 
@@ -263,18 +263,18 @@ def test_skipped_cover_search_could_not_beat_the_genus_bound(corpus, pappus):
     independence bound is the greedy one with no search."""
     skipped = 0
     for g in corpus + [pappus]:
-        if cover_search_pays(g):
+        budget = RecordingBudget()
+        bound = independence_upper_bound(g, budget)
+        if budget.meters:
             continue
         skipped += 1
         cover = b_u(g, Fraction(1, g.n))
         assert cover.optimal and cover.size == g.n - brute_alpha(g)
         complement = complement_divisor(g, frozenset(range(g.n)) - cover.separator)
         assert complement.degree() >= genus_upper_bound(g)
-        budget = RecordingBudget()
         greedy = complement_divisor(g, greedy_independent_set(g)).degree()
-        assert independence_upper_bound(g, budget) == (max(1, greedy), True)
-        assert budget.meters == []
-    assert cover_search_pays(pappus)
+        assert bound == (max(1, greedy), True)
+    assert budget.meters  # Pappus, the last graph, opens a cover-search meter
     assert skipped == 87
 
 
