@@ -14,13 +14,15 @@ Two lower-bound families are evaluated over the u-grid:
   valence - the transform h_u*n/(D+h_u) is itself a lower bound on B_u on
   any multigraph, so this row never exceeds the separator row.
 
-`grid_rows` alone evaluates the rows (h*u*n, the transform, both row
-minima); the grid bounds and `full_report` fold its columns.  All grid
-arithmetic is exact rational; ceilings are taken only at report assembly
-(gonality is an integer, so a lower bound of 5.04 certifies 6).  One size
-cap, `exact_cheeger_cap`, covers the Cheeger scan and the separators.
-The bracket is folded once, in `full_report`: a caller that wants the
-gonality asks it for the search stage and reads one bracket.
+`_grid_row` alone builds a row (h*u*n, the transform, both row minima)
+from what is known of B_u there, where `full_report` settles or searches
+it and where `grid_rows` takes a caller's certificate; the grid bounds and
+`full_report` fold its columns.  All grid arithmetic is exact rational;
+ceilings are taken only at report assembly (gonality is an integer, so a
+lower bound of 5.04 certifies 6).  One size cap, `exact_cheeger_cap`,
+covers the Cheeger scan and the separators.  The bracket is folded once,
+in `full_report`: a caller that wants the gonality asks it for the search
+stage and reads one bracket.
 
 The published constants for random cubic graphs are reproduced as pure
 arithmetic pipelines with the external inputs injected as defaults: they
@@ -36,6 +38,7 @@ from fractions import Fraction
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
 from gonlab.expansion import (
+    CheegerPoint,
     CheegerProfile,
     SeparatorCertificate,
     _violation,
@@ -61,16 +64,45 @@ DEFAULT_EXACT_CHEEGER_CAP = 24
 
 @dataclass(frozen=True)
 class GridRow:
-    """One u-grid line of the report; None marks unavailable entries."""
+    """One u-grid line of the report, built by `_grid_row`.  None marks a
+    separator entry that what is known of B_u does not fix."""
 
     j: int
     u: Fraction
     h_u: Fraction
     h_times_un: Fraction
     separator_size: int | None
-    transform: Fraction | None
+    transform: Fraction
     row_min_separator: Fraction | None
-    row_min_transform: Fraction | None
+    row_min_transform: Fraction
+
+
+def _grid_row(
+    point: CheegerPoint, h: Fraction, transform: tuple[int, int], size: int, lb: int, optimal: bool
+) -> GridRow:
+    """The line of `point`, given its `_transform` and what is known of B_u
+    there: a separator of `size` vertices, a proven lower bound `lb`, and
+    whether the two are equal.  That pins min{B_u, h*j} if B_u is exact or
+    at least h*j.  Ratios are compared by integer cross-multiplication;
+    each printed `Fraction` is built once."""
+    j = point.j
+    hn, hd = h.numerator, h.denominator
+    tn, td = transform
+    h_times_un = Fraction(hn * j, hd)
+    value = Fraction(tn, td)
+    row_min_separator = None
+    if optimal or lb * hd >= hn * j:  # size >= lb >= h*j where not optimal
+        row_min_separator = Fraction(size) if size * hd <= hn * j else h_times_un
+    return GridRow(
+        j=j,
+        u=point.u,
+        h_u=point.value,
+        h_times_un=h_times_un,
+        separator_size=size if optimal else None,
+        transform=value,
+        row_min_separator=row_min_separator,
+        row_min_transform=value if tn * hd <= hn * j * td else h_times_un,
+    )
 
 
 def grid_rows(
@@ -80,53 +112,32 @@ def grid_rows(
 ) -> tuple[GridRow, ...]:
     """The u-grid lines of the report, one per profile point, in ascending u.
 
-    A point without a certificate in `separators` (keyed by j) gets None in
-    its separator columns.  A certificate must pin the row minimum
-    min{B_u, h*u*n}: either it is optimal, or its `lower_bound` is at least
-    h*u*n, which makes the row minimum h*u*n.  `separator_size` is B_u
-    where the certificate is optimal and None elsewhere;
-    `row_min_separator` is exact in both cases.  Refuses a profile of
-    another graph and any other certificate: an upper bound on B_u is not
-    a valid gonality lower bound.  Ratios are compared by integer
-    cross-multiplication; each printed `Fraction` is built once.
+    Each line is built by `_grid_row`, as in `full_report`; a point without
+    a certificate in `separators` (keyed by j) gets None in its separator
+    columns.  A certificate must come from `b_u` on `g`, since its
+    optimality cannot be checked, and must pin the row minimum
+    min{B_u, h*u*n}: be optimal, or have a `lower_bound` of at least h*u*n,
+    which makes the row minimum h*u*n.  Refuses a profile of another graph,
+    a certificate whose `u` is not its row's u, and any other certificate:
+    an upper bound on B_u is not a valid gonality lower bound.
     """
-    if profile.n != g.n:
+    if profile.graph != g:
         raise ValueError("profile belongs to a different graph")
-    hn, hd = profile.h.numerator, profile.h.denominator
     rows = []
     for point in profile.points:
-        j = point.j
-        cert = separators.get(j)
-        h_times_un = Fraction(hn * j, hd)
-        if cert is not None and not _pins_row(cert, profile.h, j):
+        cert = separators.get(point.j)
+        if cert is not None and cert.u != point.u:
+            raise ValueError(f"separator certificate at u={cert.u} is filed under u={point.u}")
+        # without a certificate only the trivial separator, all of V, is known
+        known = (g.n, 0, False) if cert is None else (cert.size, cert.lower_bound, cert.optimal)
+        row = _grid_row(point, profile.h, _transform(g, point.value), *known)
+        if cert is not None and row.row_min_separator is None:
             raise ValueError(
                 f"separator certificate at u={cert.u} is not optimal and its lower "
-                f"bound {cert.lower_bound} is below h*u*n = {h_times_un}"
+                f"bound {cert.lower_bound} is below h*u*n = {row.h_times_un}"
             )
-        tn, td = _transform(g, point.value)
-        transform = Fraction(tn, td)
-        row_min_transform = transform if tn * hd <= hn * j * td else h_times_un
-        row_min_separator = None
-        if cert is not None:  # size >= lower_bound >= h*u*n where it is not optimal
-            row_min_separator = Fraction(cert.size) if cert.size * hd <= hn * j else h_times_un
-        rows.append(
-            GridRow(
-                j=j,
-                u=point.u,
-                h_u=point.value,
-                h_times_un=h_times_un,
-                separator_size=cert.size if cert is not None and cert.optimal else None,
-                transform=transform,
-                row_min_separator=row_min_separator,
-                row_min_transform=row_min_transform,
-            )
-        )
+        rows.append(row)
     return tuple(rows)
-
-
-def _pins_row(cert: SeparatorCertificate, h: Fraction, j: int) -> bool:
-    """Whether `cert` fixes min{B_u, h*j}: B_u is exact, or at least h*j."""
-    return cert.optimal or cert.lower_bound * h.denominator >= h.numerator * j
 
 
 def _witness_boundaries(g: Multigraph, profile: CheegerProfile) -> list[int]:
@@ -169,22 +180,6 @@ def _transform(g: Multigraph, h_u: Fraction) -> tuple[int, int]:
     times its size: h_u*(n - |S|) <= D*|S|."""
     a, b = h_u.numerator, h_u.denominator
     return a * g.n, g.max_valence * b + a
-
-
-def _settled(
-    g: Multigraph, u: Fraction, cover: frozenset[int], lower_bound: int
-) -> SeparatorCertificate:
-    """The certificate of a row whose B_u is already bounded below: the
-    vertex cover `cover`, a separator at every u, with that `lower_bound`."""
-    return SeparatorCertificate(
-        u=u,
-        max_component=(u.numerator * g.n) // u.denominator,
-        separator=cover,
-        size=len(cover),
-        component_sizes=(1,) * (g.n - len(cover)),
-        optimal=len(cover) == lower_bound,
-        lower_bound=lower_bound,
-    )
 
 
 def _first_max(rows: tuple[GridRow, ...], column: str) -> tuple[Fraction, Fraction] | None:
@@ -299,27 +294,28 @@ def full_report(
     which takes in the lower bound of every row above, each row's
     transform ceil(h_u*n/(D + h_u)) (`_transform`) and, at row 1, n -
     `independence_cap`, which bounds B_{1/n} = n - alpha.  A row is settled
-    with no search exactly when lb >= ceil(h*j); its certificate is the
-    greedy set's complement, a vertex cover and so a separator at every u,
-    with lower bound lb.  Every other row calls `b_u` with target
-    ceil(h*j) and floor lb: if no separator lies below the target, the row
-    minimum is h*j; if one does, the search runs on to the optimum, which
-    is then the row minimum.  Such a row starts from the smallest inner or
-    outer vertex boundary of a Cheeger witness that is below ceil(h*j) and
-    leaves no component above j, where there is one, and from the greedy
-    cover otherwise; a boundary at or above the target would print a size
-    where the row prints null.  The floor changes step counts, never a
-    certificate.  The minimum vertex cover itself is searched only by the
-    independence bound (`gonality.independence_upper_bound`), in the
-    upper-bound stage.  A Cheeger scan stopped by the budget, or a
-    separator search whose certificate does not pin its row minimum, is
-    excluded from the lower-bound fold (soundness firewall); it, or a
-    stopped vertex-cover search, is recorded in `notes` (rows in ascending
-    u) and flags `budget_limited`.  On fewer than 3 vertices the spectral
-    bound is not a theorem; its ceiling is then 1 and `notes` says so.  A
-    degree-1 divisor has positive rank only on a tree (Baker and Norine,
-    2007), so `lower` is at least 2 from genus 1 on.  A negative
-    `exact_cheeger_cap` is a ValueError.
+    with no search exactly when lb >= ceil(h*j), by lb and the greedy
+    set's complement, a vertex cover and so a separator at every u.  Every
+    other row calls `b_u` with target ceil(h*j) and floor lb: if no
+    separator lies below the target, the row minimum is h*j; if one does,
+    the search runs on to the optimum, which is then the row minimum.  Such
+    a row starts from the smallest inner or outer vertex boundary of a
+    Cheeger witness that is below ceil(h*j) and leaves no component above
+    j, where there is one, and from the greedy cover otherwise; a boundary
+    at or above the target would print a size where the row prints null.
+    Each row is built once, by `_grid_row`, where it is settled or
+    searched.  The floor changes step counts, never a certificate.  The
+    minimum vertex cover itself is searched only by the independence bound
+    (`gonality.independence_upper_bound`), in the upper-bound stage.  A
+    Cheeger scan stopped by the budget, or a separator search whose
+    certificate does not pin its row minimum, is excluded from the
+    lower-bound fold (soundness firewall); it, or a stopped vertex-cover
+    search, is recorded in `notes` (rows in ascending u) and flags
+    `budget_limited`.  On fewer than 3 vertices the spectral bound is not a
+    theorem; its ceiling is then 1 and `notes` says so.  A degree-1 divisor
+    has positive rank only on a tree (Baker and Norine, 2007), so `lower`
+    is at least 2 from genus 1 on.  A negative `exact_cheeger_cap` is a
+    ValueError.
 
     `gonality` adds the search as the last stage, and implies the upper
     bounds: the ascending search of `gonality.exact_gonality` runs from
@@ -352,45 +348,41 @@ def full_report(
             notes.append(f"cheeger scan exhausted budget: {exc}; grid bounds skipped")
             budget_limited = True
 
-    separators: dict[int, SeparatorCertificate] = {}
     rows: tuple[GridRow, ...] = ()
     if profile is not None:
         seed = frozenset(range(g.n)) - greedy_independent_set(g)
-        certs = {}
         # B_u does not increase with u, so a lower bound proven at one row
-        # holds at every row below it: run down from u = 1/2, keeping in `lb`
-        # the largest one so far (a searched row's, a transform, n - alpha_cap
-        # at row 1), and settle a row it already lifts to ceil(h*j) without a
-        # search
+        # holds at every row below it: `lb` keeps the largest so far
         hn, hd = profile.h.numerator, profile.h.denominator
         boundaries = _witness_boundaries(g, profile)
         lb = 0
+        descending, unpinned = [], []
         for point in reversed(profile.points):
             below = -(-hn * point.j // hd)
             tn, td = _transform(g, point.value)
             lb = max(lb, -(-tn // td))
             if point.j == 1:  # B_{1/n} = n - alpha
                 lb = max(lb, g.n - independence_cap(g))
-            if lb >= below:
-                certs[point.j] = _settled(g, point.u, seed, lb)
+            if lb >= below:  # the greedy cover is a separator at every u
+                known = (len(seed), lb, len(seed) == lb)
             else:
                 row_seed = _boundary_seed(g, boundaries, point.j, below) or seed
-                certs[point.j] = b_u(g, point.u, budget, seed=row_seed, below=below, floor=lb)
-                lb = max(lb, certs[point.j].lower_bound)
-        for point in profile.points:
-            cert = certs[point.j]
-            if _pins_row(cert, profile.h, point.j):
-                separators[point.j] = cert
-            else:
-                notes.append(
+                cert = b_u(g, point.u, budget, seed=row_seed, below=below, floor=lb)
+                lb = max(lb, cert.lower_bound)
+                known = (cert.size, cert.lower_bound, cert.optimal)
+            descending.append(_grid_row(point, profile.h, (tn, td), *known))
+            if descending[-1].row_min_separator is None:
+                unpinned.append(
                     f"separator at u={point.u} not certified optimal "
-                    f"(best {cert.size}, lower bound {cert.lower_bound})"
+                    f"(best {known[0]}, lower bound {known[1]})"
                 )
-                budget_limited = True
-        rows = grid_rows(g, profile, separators)
+        rows = tuple(reversed(descending))
+        notes.extend(reversed(unpinned))
+        budget_limited |= bool(unpinned)
 
     # the separator bound is reported only when every row minimum is pinned
-    sep_bound = _first_max(rows, "row_min_separator") if len(separators) == len(rows) else None
+    pinned = all(row.row_min_separator is not None for row in rows)
+    sep_bound = _first_max(rows, "row_min_separator") if pinned else None
     cheeger_bound = _first_max(rows, "row_min_transform")
 
     if spectral is not None and spectral.note is not None:

@@ -19,7 +19,7 @@ for both cuts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from gonlab.budget import DEFAULT_BUDGET, BudgetExceededError, SearchBudget
@@ -38,10 +38,15 @@ class CheegerPoint:
 
 @dataclass(frozen=True)
 class CheegerProfile:
-    """The exact map u -> h_u(G) over the grid, with witnesses."""
+    """The exact map u -> h_u(G) over the grid, with witnesses, of the
+    graph `graph` it was computed on; built only by `cheeger_profile`."""
 
-    n: int
+    graph: Multigraph = field(repr=False)
     points: tuple[CheegerPoint, ...]
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
 
     @property
     def h(self) -> Fraction:
@@ -252,7 +257,7 @@ def cheeger_profile(
             num, den = least[j], j
             value, witness = Fraction(num, den), frozenset(_mask_tuple(masks[j]))
         points.append(CheegerPoint(j=j, u=Fraction(j, g.n), value=value, witness=witness))
-    return CheegerProfile(n=g.n, points=tuple(points))
+    return CheegerProfile(graph=g, points=tuple(points))
 
 
 def _packing(

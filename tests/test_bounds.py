@@ -5,12 +5,13 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import RecordingBudget, cubic_bounds_inputs
+from conftest import RecordingBudget, complete_graph, cubic_bounds_inputs
 from gonlab.bounds import (
     cheeger_grid_bound,
     expansion_pipeline_constant,
@@ -140,6 +141,21 @@ def test_grid_rows_refusals_and_irregular_columns(pappus):
         grid_rows(named_graph("cycle:10"), cheeger_profile(pappus), {})
     with pytest.raises(ValueError, match="no separator certificates"):
         separator_grid_bound(pappus, cheeger_profile(pappus), {})
+
+
+def test_grid_rows_refuse_a_profile_of_another_graph_on_as_many_vertices(pappus):
+    """K18's profile on Pappus would fold to a lower bound of 16 (288/19)
+    on a graph of gonality 6: the profile must be of the graph itself."""
+    with pytest.raises(ValueError, match="different graph"):
+        cheeger_grid_bound(pappus, cheeger_profile(complete_graph(18)))
+
+
+def test_grid_rows_refuse_a_certificate_filed_under_another_row(pappus):
+    """B_{1/18} = 9 filed under j = 9 would print a row minimum of 7 at
+    u = 1/2, where the true one is B_{1/2} = 6."""
+    profile = cheeger_profile(pappus)
+    with pytest.raises(ValueError, match="filed under u=1/2"):
+        separator_grid_bound(pappus, profile, {9: b_u(pappus, Fraction(1, 18))})
 
 
 def test_transform_never_exceeds_separator_size(corpus):
@@ -328,6 +344,11 @@ def test_full_report_rows_match_the_separator_oracle(corpus, pappus):
                 assert row.separator_size == exact
         profile, separators = _grid_inputs(g)
         assert report.separator_bound == separator_grid_bound(g, profile, separators)
+        assert report.cheeger_bound == cheeger_grid_bound(g, profile)
+        columns = attrgetter("h_times_un", "transform", "row_min_transform", "row_min_separator")
+        assert list(map(columns, report.rows)) == list(
+            map(columns, grid_rows(g, profile, separators))
+        )
 
 
 def test_full_report_shares_the_cover_search(corpus, pappus):
